@@ -15,10 +15,13 @@ the machinery below computes those objects exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 
 class UltratopError(Exception):
@@ -31,6 +34,29 @@ class DomainError(UltratopError):
 
 def _set_label(labels: Iterable[str]) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
+
+
+def _union_at(masks: Sequence[int], selector: int) -> int:
+    """Union of masks[i] over the points i of the selector mask."""
+    out = 0
+    for i, m in enumerate(masks):
+        if (selector >> i) & 1:
+            out |= m
+    return out
+
+
+def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T]) -> set[_T]:
+    """Close the generators under an associative, commutative, idempotent op.
+
+    After each generator g the result holds every join of the generators
+    seen so far: the old joins, their joins with g, and g itself.  That is
+    one sweep of O(|result| * |gens|) joins, with no rescans.
+    """
+    out: set[_T] = set()
+    for g in gens:
+        out |= {op(o, g) for o in out}
+        out.add(g)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,6 +149,19 @@ class SetFamily:
     def masks(self) -> tuple[int, ...]:
         return tuple(self.carrier.mask_of(s) for _, s in self.members)
 
+    @cached_property
+    def _point_atoms(self) -> tuple[int, ...]:
+        """Per point, the mask of its atom: the points with its membership
+        signature, which no member separates from it."""
+        full = self.carrier.full_mask
+        out = []
+        for i in range(len(self.carrier)):
+            keep = full
+            for m in self.masks:
+                keep &= m if (m >> i) & 1 else ~m
+            out.append(keep)
+        return tuple(out)
+
     def subsets(self) -> tuple[frozenset[str], ...]:
         return tuple(s for _, s in self.members)
 
@@ -185,18 +224,11 @@ def limit_set(family: SetFamily, ultra: PrincipalUltrafilter) -> frozenset[str]:
     A point x survives iff, for each member F, x lies in F exactly when the
     trace of F on the base belongs to the ultrafilter.  For a principal
     ultrafilter the trace test is just membership of the generating point,
-    so the result always contains that point.
+    so the result is the generating point's atom, whatever the base.
     """
     carrier = family.carrier
-    base_mask = carrier.mask_of(ultra.base)
-    p = carrier._index[ultra.point]
-    keep = carrier.full_mask
-    for m in family.masks:
-        if ((m & base_mask) >> p) & 1:  # trace of the member is an ultrafilter set
-            keep &= m
-        else:
-            keep &= ~m
-    return carrier.labels_of(keep & carrier.full_mask)
+    carrier.mask_of(ultra.base)  # rejects a base that leaves the carrier
+    return carrier.labels_of(family._point_atoms[carrier._index[ultra.point]])
 
 
 def is_stable(family: SetFamily, subset: Iterable[str]) -> bool:
@@ -204,23 +236,8 @@ def is_stable(family: SetFamily, subset: Iterable[str]) -> bool:
 
     The empty set carries no ultrafilters and is vacuously stable.
     """
-    carrier = family.carrier
-    y_mask = carrier.mask_of(subset)
-    masks = family.masks
-    full = carrier.full_mask
-    for i in range(len(carrier)):
-        if not (y_mask >> i) & 1:
-            continue
-        keep = full
-        for m in masks:
-            # the trace of m on the subset is large iff point i lies in m
-            if (m >> i) & 1:
-                keep &= m
-            else:
-                keep &= ~m
-        if keep & ~y_mask:
-            return False
-    return True
+    y_mask = family.carrier.mask_of(subset)
+    return _union_at(family._point_atoms, y_mask) == y_mask
 
 
 def stable_closure(family: SetFamily, subset: Iterable[str]) -> frozenset[str]:
@@ -229,22 +246,8 @@ def stable_closure(family: SetFamily, subset: Iterable[str]) -> frozenset[str]:
     This is the smallest stable superset, the operator is monotone and
     idempotent, and the empty set closes to itself.
     """
-    carrier = family.carrier
-    y_mask = carrier.mask_of(subset)
-    masks = family.masks
-    full = carrier.full_mask
-    out = 0
-    for i in range(len(carrier)):
-        if not (y_mask >> i) & 1:
-            continue
-        keep = full
-        for m in masks:
-            if (m >> i) & 1:
-                keep &= m
-            else:
-                keep &= ~m
-        out |= keep
-    return carrier.labels_of(out & full)
+    y_mask = family.carrier.mask_of(subset)
+    return family.carrier.labels_of(_union_at(family._point_atoms, y_mask))
 
 
 @dataclass(frozen=True)
@@ -308,11 +311,7 @@ def atoms(family: SetFamily) -> BoolAlgebra:
     Boolean algebra generated by the family.
     """
     carrier = family.carrier
-    groups: dict[tuple[int, ...], int] = {}
-    for i in range(len(carrier)):
-        sig = tuple((m >> i) & 1 for m in family.masks)
-        groups[sig] = groups.get(sig, 0) | (1 << i)
-    blocks = sorted(carrier.tuple_of(mask) for mask in groups.values())
+    blocks = sorted(carrier.tuple_of(mask) for mask in set(family._point_atoms))
     return BoolAlgebra(family, tuple(frozenset(b) for b in blocks))
 
 
@@ -320,15 +319,6 @@ class FamilyTransforms(NamedTuple):
     intersections: SetFamily
     unions: SetFamily
     complements: SetFamily
-
-
-def _pairwise_closure(masks: Iterable[int], op: Callable[[int, int], int]) -> frozenset[int]:
-    out = set(masks)
-    while True:
-        new = {op(a, b) for a in out for b in out} - out
-        if not new:
-            return frozenset(out)
-        out |= new
 
 
 def family_transforms(family: SetFamily) -> FamilyTransforms:
@@ -347,8 +337,8 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
             carrier, tuple((_set_label(s), frozenset(s)) for s in subsets)
         )
 
-    inter = _pairwise_closure(family.masks, lambda a, b: a & b)
-    union = _pairwise_closure(family.masks, lambda a, b: a | b)
+    inter = _join_closure(family.masks, operator.and_)
+    union = _join_closure(family.masks, operator.or_)
     comp = set(family.masks) | {(~m) & full for m in family.masks}
     return FamilyTransforms(build(inter), build(union), build(comp))
 

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .core import Carrier, DomainError, PrincipalUltrafilter, SetFamily, UltratopError
+from .core import _join_closure
 from .topology import FinSpace, from_subbasis
 
 MAX_RING = 64
@@ -343,17 +344,9 @@ def _ideal_sets(ring: FiniteRing) -> tuple[frozenset[int], ...]:
         frozenset(ring.mul[r][x] for r in range(ring.size))
         for x in range(ring.size)
     }
-    found = set(principal)
-    while True:
-        new = set()
-        for a in found:
-            for b in found:
-                joined = frozenset(ring.add[i][j] for i in a for j in b)
-                if joined not in found:
-                    new.add(joined)
-        if not new:
-            break
-        found |= new
+    found = _join_closure(
+        principal, lambda a, b: frozenset(ring.add[i][j] for i in a for j in b)
+    )
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
@@ -442,14 +435,16 @@ def principal_open_family(ring: FiniteRing) -> SetFamily:
         for x in range(ring.size)
     )
     family = SetFamily(carrier, members)
+    # every open is the union of the minimal opens of its points, so it is
+    # enough that each minimal open is a union of principal opens
     space = spec_space(ring)
-    member_masks = [carrier.mask_of(s) for _, s in members]
-    for o in space.open_masks:
+    for i in range(len(carrier)):
+        u = space.minimal_open_mask(i)
         union = 0
-        for m in member_masks:
-            if not m & ~o:
+        for m in family.masks:
+            if not m & ~u:
                 union |= m
-        if union != o:
+        if union != u:
             raise UltratopError("internal: principal opens failed to form a basis")
     return family
 
@@ -520,19 +515,18 @@ class Subring:
 def subring_closure(ambient: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
     """Smallest unital subring containing the seed elements."""
     members = set(seed) | {ambient.zero, ambient.one}
-    while True:
-        new = set()
-        for a in members:
-            if ambient.neg[a] not in members:
-                new.add(ambient.neg[a])
-            for b in members:
-                for table in (ambient.add, ambient.mul):
-                    v = table[a][b]
-                    if v not in members:
-                        new.add(v)
-        if not new:
-            return frozenset(members)
-        members |= new
+    todo = list(members)
+    while todo:
+        a = todo.pop()
+        # each pair is combined when its later element is taken off the list
+        found = {ambient.neg[a]}
+        for b in list(members):
+            found.add(ambient.add[a][b])
+            found.add(ambient.mul[a][b])
+        for v in found - members:
+            members.add(v)
+            todo.append(v)
+    return frozenset(members)
 
 
 def intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
@@ -548,18 +542,9 @@ def intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
             " ambient elements"
         )
     image = frozenset(emb.mapping)
-    found = {subring_closure(ambient, image | {b}) for b in range(ambient.size)}
-    found.add(subring_closure(ambient, image))
-    while True:
-        new = set()
-        for a in found:
-            for b in found:
-                joined = subring_closure(ambient, a | b)
-                if joined not in found:
-                    new.add(joined)
-        if not new:
-            break
-        found |= new
+    # b ranging over the image gives the subring generated by the image
+    extensions = {subring_closure(ambient, image | {b}) for b in range(ambient.size)}
+    found = _join_closure(extensions, lambda a, b: subring_closure(ambient, a | b))
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return tuple(Subring(ambient, s) for s in ordered)
 

@@ -1,29 +1,29 @@
 """Finite topological spaces, specialization posets, and patch refinements.
 
-Spaces are stored by their closed sets, as bitmasks over a carrier.  A space
-built with the plain constructor is trusted to satisfy the topology axioms
-(internal constructions are correct by construction); ``FinSpace.from_closed``
-validates untrusted input and is what the JSON loaders use.
+Spaces are given by their closed sets, as bitmasks over a carrier, but every
+query is answered from the n point closures: a finite space is the preorder
+of its point closures (y lies below x when y is in the closure of x), its
+closed sets are exactly the unions of point closures, and its smallest open
+around a point is the up-set of that point.  So validation, the spectral
+check, the patch, continuity and the subbasis construction all cost
+polynomial time in the number of points once the closed sets are read.
 
-The bridge to order theory is the usual finite one: closed sets of a finite
-space are the downward closed sets of its specialization order, the closure
-of a point is its principal down-set, and the round trip between finite T0
-spaces and finite posets is exact.
+A space built with the plain constructor is trusted to satisfy the topology
+axioms (internal constructions are correct by construction);
+``FinSpace.from_closed`` validates untrusted input and is what the JSON
+loaders use.  The round trip between finite T0 spaces and finite posets is
+exact.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    Carrier,
-    DomainError,
-    SetFamily,
-    UltratopError,
-    atoms,
-)
+from .core import Carrier, DomainError, SetFamily, UltratopError, _join_closure, _union_at
 
 
 class NotT0Error(DomainError):
@@ -35,6 +35,24 @@ class NotT0Error(DomainError):
             " indistinguishable"
         )
         self.pair = pair
+
+
+def _meets_at_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
+    """For each point, the meet of the masks containing it (the carrier if none)."""
+    out = [carrier.full_mask] * len(carrier)
+    for m in masks:
+        for i in range(len(out)):
+            if (m >> i) & 1:
+                out[i] &= m
+    return out
+
+
+def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
+    """The converse relation: bit j of the i-th result is bit i of masks[j]."""
+    return tuple(
+        sum(1 << j for j, m in enumerate(masks) if (m >> i) & 1)
+        for i in range(len(masks))
+    )
 
 
 @dataclass(frozen=True)
@@ -62,22 +80,44 @@ class FinSpace:
         return space
 
     def validate(self) -> None:
-        """Check the closed-set axioms, naming the first violation found."""
+        """Check the closed-set axioms, naming two closed sets whose union or
+        intersection is missing.
+
+        The closed sets C form a topology iff the empty set, the carrier,
+        each point closure and each union of a closed set with a point
+        closure lie in C: then every closed set is a down-set of the
+        specialization preorder and every down-set is a union of point
+        closures.  That is O(|C| * n) lookups on n points.
+        """
+        closed = self.closed_masks
         full = self.carrier.full_mask
-        if 0 not in self.closed_masks:
+        if 0 not in closed:
             raise DomainError("the empty set must be closed")
-        if full not in self.closed_masks:
+        if full not in closed:
             raise DomainError("the whole carrier must be closed")
-        ordered = sorted(self.closed_masks)
-        for a in ordered:
-            for b in ordered:
-                for m, word in ((a | b, "union"), (a & b, "intersection")):
-                    if m not in self.closed_masks:
-                        raise DomainError(
-                            f"closed sets are not closed under {word}: "
-                            f"{sorted(self.carrier.labels_of(a))} and "
-                            f"{sorted(self.carrier.labels_of(b))}"
-                        )
+        ordered = sorted(closed)
+        for i, cl in enumerate(self.point_closures):
+            if cl in closed:
+                continue
+            # the fold of the closed sets containing i ends at cl, which is
+            # missing, so some meet on the way is missing
+            acc = full
+            for c in ordered:
+                if (c >> i) & 1:
+                    if acc & c not in closed:
+                        raise self._not_closed("intersection", acc, c)
+                    acc &= c
+        for c in ordered:
+            for cl in self.point_closures:
+                if c | cl not in closed:
+                    raise self._not_closed("union", c, cl)
+
+    def _not_closed(self, word: str, a: int, b: int) -> DomainError:
+        return DomainError(
+            f"closed sets are not closed under {word}: "
+            f"{sorted(self.carrier.labels_of(a))} and "
+            f"{sorted(self.carrier.labels_of(b))}"
+        )
 
     @cached_property
     def open_masks(self) -> frozenset[int]:
@@ -98,19 +138,20 @@ class FinSpace:
         return self.carrier.mask_of(subset) in self.open_masks
 
     def closure_mask(self, mask: int) -> int:
-        out = self.carrier.full_mask
-        for c in self.closed_masks:
-            if not mask & ~c:
-                out &= c
-        return out
+        return _union_at(self.point_closures, mask)
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
-        """Smallest closed superset."""
+        """Smallest closed superset: the union of the point closures."""
         return self.carrier.labels_of(self.closure_mask(self.carrier.mask_of(subset)))
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
-        return tuple(self.closure_mask(1 << i) for i in range(len(self.carrier)))
+        """cl{i} for each point i: the meet of the closed sets containing i."""
+        return tuple(_meets_at_points(self.carrier, self.closed_masks))
+
+    @cached_property
+    def _minimal_opens(self) -> tuple[int, ...]:
+        return _transpose(self.point_closures)
 
     def t0_violation(self) -> tuple[str, str] | None:
         """A pair of indistinguishable points, or None when the space is T0."""
@@ -122,12 +163,8 @@ class FinSpace:
         return None
 
     def minimal_open_mask(self, i: int) -> int:
-        """Intersection of all opens containing point i (open, finite space)."""
-        out = self.carrier.full_mask
-        for o in self.open_masks:
-            if (o >> i) & 1:
-                out &= o
-        return out
+        """Smallest open containing point i: the points whose closure holds i."""
+        return self._minimal_opens[i]
 
     def to_json(self) -> dict:
         return {
@@ -137,47 +174,44 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FinSpace":
-        return cls.from_closed(doc["carrier"], [frozenset(s) for s in doc["closed"]])
+        """Validated construction from a JSON document; a string is never
+        read as a list of labels."""
+        carrier, closed = doc["carrier"], doc["closed"]
+        fields = [("carrier", carrier), ("closed", closed)]
+        if isinstance(closed, list):
+            fields += [(f"closed[{i}]", s) for i, s in enumerate(closed)]
+        for path, value in fields:
+            if not isinstance(value, list):
+                raise TypeError(f"{path} must be a list, not {type(value).__name__}")
+        return cls.from_closed(carrier, [frozenset(s) for s in closed])
 
 
-def _space_from_subbasis_masks(carrier: Carrier, masks: Iterable[int]) -> FinSpace:
-    """Topology generated by the given bitmasks as a subbasis of opens."""
-    full = carrier.full_mask
-    basis = set(masks)
-    basis.add(full)  # empty intersection
-    while True:
-        new = {a & b for a in basis for b in basis} - basis
-        if not new:
-            break
-        basis |= new
-    opens = basis | {0}
-    while True:
-        new = {a | b for a in opens for b in opens} - opens
-        if not new:
-            break
-        opens |= new
-    return FinSpace(carrier, frozenset((~o) & full for o in opens))
+def _space_of_closures(carrier: Carrier, closures: Iterable[int]) -> FinSpace:
+    """The space whose closed sets are the unions of the given point closures."""
+    return FinSpace(carrier, frozenset(_join_closure({0, *closures}, operator.or_)))
 
 
 def from_subbasis(subbasis: SetFamily) -> FinSpace:
-    """The coarsest topology in which every member of the family is open."""
-    return _space_from_subbasis_masks(subbasis.carrier, subbasis.masks)
+    """The coarsest topology in which every member of the family is open.
+
+    The smallest open around x is the meet of the members containing x, and
+    x lies in the closure of y exactly when y lies in that smallest open.
+    """
+    carrier = subbasis.carrier
+    return _space_of_closures(
+        carrier, _transpose(_meets_at_points(carrier, subbasis.masks))
+    )
 
 
 def ultra_topology(family: SetFamily) -> FinSpace:
     """The topology whose closed sets are the stable sets of the family.
 
     On a finite carrier a set is stable exactly when it is a union of atoms
-    of the family, so this is the partition topology of the atoms.  The test
-    suite cross-checks this against brute-force stability enumeration.
+    of the family, so this is the partition topology of the atoms: each
+    point's closure is its atom.  The test suite cross-checks this against
+    brute-force stability enumeration.
     """
-    alg = atoms(family)
-    carrier = family.carrier
-    closed = {0}
-    for atom in alg.atoms:
-        block = carrier.mask_of(atom)
-        closed |= {c | block for c in closed}
-    return FinSpace(carrier, frozenset(closed))
+    return _space_of_closures(family.carrier, family._point_atoms)
 
 
 @dataclass(frozen=True)
@@ -192,19 +226,32 @@ class Poset:
         for x, y in self.relation:
             if x not in idx or y not in idx:
                 raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
-        rel = self.relation
-        for p in self.carrier.points:
-            if (p, p) not in rel:
-                raise DomainError(f"relation is not reflexive at {p!r}")
-        for x, y in rel:
-            if x != y and (y, x) in rel:
-                raise DomainError(f"relation is not antisymmetric on {x!r}, {y!r}")
-        for x, y in rel:
-            for z, w in rel:
-                if y == z and (x, w) not in rel:
+        points, downs = self.carrier.points, self._downs
+        for i, d in enumerate(downs):
+            if not (d >> i) & 1:
+                raise DomainError(f"relation is not reflexive at {points[i]!r}")
+            for j in range(len(points)):
+                if j == i or not (d >> j) & 1:
+                    continue
+                if (downs[j] >> i) & 1:
                     raise DomainError(
-                        f"relation is not transitive: {x!r} <= {y!r} <= {w!r}"
+                        f"relation is not antisymmetric on {points[j]!r}, {points[i]!r}"
                     )
+                if downs[j] & ~d:
+                    k = (downs[j] & ~d).bit_length() - 1
+                    raise DomainError(
+                        "relation is not transitive: "
+                        f"{points[k]!r} <= {points[j]!r} <= {points[i]!r}"
+                    )
+
+    @cached_property
+    def _downs(self) -> tuple[int, ...]:
+        """Principal down-set of each point, as a mask."""
+        idx = self.carrier._index
+        out = [0] * len(self.carrier)
+        for x, y in self.relation:
+            out[idx[y]] |= 1 << idx[x]
+        return tuple(out)
 
     @classmethod
     def from_pairs(
@@ -212,17 +259,21 @@ class Poset:
     ) -> "Poset":
         """Reflexive-transitive closure of the given pairs; rejects cycles."""
         carrier = Carrier.of(labels)
-        rel = {(p, p) for p in carrier.points} | set(pairs)
-        while True:
-            new = {
-                (x, w)
-                for x, y in rel
-                for z, w in rel
-                if y == z and (x, w) not in rel
-            }
-            if not new:
-                break
-            rel |= new
+        n = len(carrier)
+        downs = [1 << i for i in range(n)]
+        for x, y in pairs:
+            downs[carrier.mask_of((y,)).bit_length() - 1] |= carrier.mask_of((x,))
+        for k in range(n):  # Warshall, one row of bits at a time
+            for i in range(n):
+                if (downs[i] >> k) & 1:
+                    downs[i] |= downs[k]
+        return cls._of_downs(carrier, downs)
+
+    @classmethod
+    def _of_downs(cls, carrier: Carrier, downs: Iterable[int]) -> "Poset":
+        """The relation whose principal down-sets are the given masks."""
+        n, p = len(carrier), carrier.points
+        rel = {(p[j], p[i]) for i, d in enumerate(downs) for j in range(n) if (d >> j) & 1}
         return cls(carrier, frozenset(rel))
 
     def leq(self, x: str, y: str) -> bool:
@@ -232,7 +283,7 @@ class Poset:
         """Principal down-set: everything below or equal to x."""
         if x not in self.carrier:
             raise DomainError(f"{x!r} is not a point of the carrier")
-        return frozenset(y for y, z in self.relation if z == x)
+        return self.carrier.labels_of(self._downs[self.carrier._index[x]])
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """(lower, upper) pairs with nothing strictly between, sorted."""
@@ -258,25 +309,13 @@ def specialization_order(space: FinSpace) -> Poset:
     violation = space.t0_violation()
     if violation is not None:
         raise NotT0Error(violation)
-    carrier = space.carrier
-    rel = set()
-    for xi, x in enumerate(carrier.points):
-        cl = space.point_closures[xi]
-        for yi, y in enumerate(carrier.points):
-            if (cl >> yi) & 1:
-                rel.add((y, x))
-    return Poset(carrier, frozenset(rel))
+    return Poset._of_downs(space.carrier, space.point_closures)
 
 
 def poset_to_space(poset: Poset) -> FinSpace:
-    """Alexandrov space of the poset: closed sets are the down-closed sets."""
-    carrier = poset.carrier
-    principal = [carrier.mask_of(poset.down(x)) for x in carrier.points]
-    closed = {0}
-    for d in principal:
-        closed |= {c | d for c in closed}
-    # unions of principal down-sets are exactly the down-closed sets
-    return FinSpace(carrier, frozenset(closed))
+    """Alexandrov space of the poset: closed sets are the down-closed sets,
+    the unions of principal down-sets."""
+    return _space_of_closures(poset.carrier, poset._downs)
 
 
 def space_to_poset(space: FinSpace) -> Poset:
@@ -309,49 +348,28 @@ class SpectralReport:
 
 
 def _soberness(space: FinSpace) -> tuple[bool, tuple[str, ...] | None]:
-    """Every irreducible closed set must have exactly one generic point."""
-    closed = sorted(space.closed_masks)
-    for c in closed:
-        if c == 0:
-            continue
-        proper = [d for d in closed if d != c and not d & ~c]
-        reducible = any(d1 | d2 == c for d1 in proper for d2 in proper)
-        if reducible:
-            continue
-        generics = [
-            i for i in range(len(space.carrier))
-            if (c >> i) & 1 and space.point_closures[i] == c
-        ]
-        if len(generics) != 1:
-            return False, space.carrier.tuple_of(c)
-    return True, None
+    """Every irreducible closed set must have exactly one generic point.
+
+    The irreducible closed sets of a finite space are its point closures,
+    and the generic points of cl{x} are the points with that same closure.
+    The witness is the smallest such closure (as a mask) shared by two
+    points.
+    """
+    shared = [cl for cl, k in Counter(space.point_closures).items() if k > 1]
+    if not shared:
+        return True, None
+    return False, space.carrier.tuple_of(min(shared))
 
 
 def _compact_open_basis(space: FinSpace) -> bool:
-    """Build the minimal-neighborhood basis and close it under intersection.
+    """Check that the minimal opens form a basis closed under intersection.
 
-    On a finite space every subset is compact, so the content of the check is
-    that the collection really is a basis of opens and stays open under
-    pairwise intersection.
+    On a finite space every subset is compact, so the content of the check
+    is that the meet of any two minimal opens (the same one twice included)
+    is the union of the minimal opens of its points, hence open.
     """
-    basis = {space.minimal_open_mask(i) for i in range(len(space.carrier))}
-    if not basis <= space.open_masks:
-        return False
-    while True:
-        new = {a & b for a in basis for b in basis} - basis
-        if not new:
-            break
-        if not new <= space.open_masks:
-            return False
-        basis |= new
-    for o in space.open_masks:
-        union = 0
-        for b in basis:
-            if not b & ~o:
-                union |= b
-        if union != o:
-            return False
-    return True
+    ups = space._minimal_opens
+    return all(_union_at(ups, a & b) == a & b for a in ups for b in ups)
 
 
 def is_spectral(space: FinSpace) -> SpectralReport:
@@ -382,22 +400,21 @@ def is_spectral(space: FinSpace) -> SpectralReport:
 def patch_topology(space: FinSpace) -> FinSpace:
     """Refine the space by making every compact open set clopen.
 
-    Finite subsets are all compact, so the subbasis is the opens together
-    with their complements; the result is the partition topology of
-    topological indistinguishability, discrete exactly when the input is T0.
+    Finite subsets are all compact, so every open and every closed set
+    becomes clopen; the result is the partition topology of topological
+    indistinguishability (points with equal closures), discrete exactly when
+    the input is T0.
     """
-    masks = set(space.open_masks) | set(space.closed_masks)
-    return _space_from_subbasis_masks(space.carrier, masks)
+    blocks: dict[int, int] = {}
+    for i, cl in enumerate(space.point_closures):
+        blocks[cl] = blocks.get(cl, 0) | (1 << i)
+    return _space_of_closures(space.carrier, blocks.values())
 
 
 def generic_closure(space: FinSpace, subset: Iterable[str]) -> frozenset[str]:
     """All generizations of the subset: points whose closure meets it."""
     y = space.carrier.mask_of(subset)
-    out = 0
-    for i in range(len(space.carrier)):
-        if space.point_closures[i] & y:
-            out |= 1 << i
-    return space.carrier.labels_of(out)
+    return space.carrier.labels_of(_union_at(space._minimal_opens, y))
 
 
 def _preimage_masks(
@@ -418,16 +435,18 @@ def _preimage_masks(
 def is_continuous(
     mapping: Mapping[str, str], dom: FinSpace, cod: FinSpace
 ) -> bool:
-    """Whether preimages of closed sets are closed; the map must be total."""
+    """Whether preimages of closed sets are closed; the map must be total.
+
+    Between finite spaces that is monotonicity of the specialization
+    preorders: the image of each point closure lies in the closure of the
+    point's image.
+    """
     images = _preimage_masks(mapping, dom.carrier, cod.carrier)
-    for c in cod.closed_masks:
-        pre = 0
-        for i, yi in enumerate(images):
-            if (c >> yi) & 1:
-                pre |= 1 << i
-        if pre not in dom.closed_masks:
-            return False
-    return True
+    image_bits = [1 << yi for yi in images]
+    return all(
+        not _union_at(image_bits, cl) & ~cod.point_closures[yi]
+        for cl, yi in zip(dom.point_closures, images)
+    )
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,20 @@ class TestExitCodes:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"carrier": ["a", "b"], "closed": [[], "ab", "a"]}, "closed[1]"),
+            ({"carrier": "ab", "closed": [[], ["a"], ["a", "b"]]}, "carrier"),
+            ({"carrier": ["a"], "closed": "a"}, "closed"),
+        ],
+    )
+    def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
+        for verb in ("check-spectral", "patch"):
+            code, out, err = run_file(tmp_path, capsys, verb, doc)
+            assert (code, out) == (1, "")
+            assert path in err
+
     def test_dot_unsupported_is_one(self, tmp_path, capsys):
         code, _, err = run_file(
             tmp_path, capsys, "atoms", FAMILY_DOC, extra=["--format", "dot"]
