@@ -1,10 +1,10 @@
 """Command line front end: JSON documents in, JSON or DOT out.
 
 Exit codes: 0 on success, 1 on malformed input (bad flags, unreadable files,
-broken JSON, missing keys), 2 on domain violations (inputs that parse but
-break a precondition, with the violating item named).  Output is
-deterministic: identical invocations produce identical bytes, and every
-output carries the schema tag v1.
+broken JSON, missing keys, fields of the wrong JSON type), 2 on domain
+violations (inputs that parse but break a precondition, with the violating
+item named).  Output is deterministic: identical invocations produce
+identical bytes, and every output carries the schema tag v1.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Callable
 
-from .core import DomainError, SetFamily, atoms, stable_closure, is_stable
+from .core import DomainError, SetFamily, _json_field, atoms, stable_closure, is_stable
 from .rings import (
     FiniteRing,
     RingEmbedding,
@@ -103,7 +104,7 @@ def _cmd_closure(args: argparse.Namespace) -> str:
     _json_only(args)
     doc = _read_doc(args.input)
     family = SetFamily.from_json(doc["family"])
-    subset = frozenset(str(x) for x in doc["set"])
+    subset = frozenset(str(x) for x in _json_field(doc["set"], list, "set"))
     return _emit(
         {
             "schema": SCHEMA,
@@ -227,7 +228,7 @@ def _cmd_specz_closure(args: argparse.Namespace) -> str:
     _json_only(args)
     base = _parse_primes(args.primes)
     if args.generic:
-        base = ZSubsetDescriptor(base.primes, base.cofinite_primes, True)
+        base = replace(base, generic=True)
     return _emit(
         {
             "schema": SCHEMA,
@@ -240,18 +241,24 @@ def _cmd_specz_closure(args: argparse.Namespace) -> str:
     )
 
 
-def _constructible_from_entry(entry: dict) -> ZConstructible:
-    if "v_of" in entry:
-        return v_of(int(entry["v_of"]))
-    if "d_of" in entry:
-        return d_of(int(entry["d_of"]))
-    return ZConstructible.from_json(entry)
+def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
+    """One entry of ``sets``; a badly typed field raises a TypeError whose
+    message starts with the field's path in the document."""
+    _json_field(entry, dict, path)
+    try:
+        for key, locus in (("v_of", v_of), ("d_of", d_of)):
+            if key in entry:
+                return locus(_json_field(entry[key], int, key))
+        return ZConstructible.from_json(entry)
+    except TypeError as e:
+        raise TypeError(f"{path}.{e}") from None
 
 
 def _cmd_specz_fip(args: argparse.Namespace) -> str:
     _json_only(args)
     doc = _read_doc(args.input)
-    sets = [_constructible_from_entry(e) for e in doc["sets"]]
+    entries = _json_field(doc["sets"], list, "sets")
+    sets = [_constructible_from_entry(e, f"sets[{i}]") for i, e in enumerate(entries)]
     result = z_fip_check(sets)
     return _emit(
         {

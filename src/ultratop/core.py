@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -30,6 +30,22 @@ class UltratopError(Exception):
 
 class DomainError(UltratopError):
     """An argument lies outside the domain of the requested operation."""
+
+
+_JSON_KINDS = {
+    list: "a list", str: "a string", bool: "a boolean", int: "an integer", dict: "an object"
+}
+
+
+def _json_field(value: _T, kind: type, path: str) -> _T:
+    """Pass a JSON document's field through if it has the given kind.
+
+    Otherwise raise a TypeError naming the field, so that a string is never
+    read as a list and a boolean or a float never as an integer.
+    """
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{path} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
 
 
 def _set_label(labels: Iterable[str]) -> str:
@@ -181,14 +197,22 @@ class SetFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SetFamily":
+        """Construction from a JSON document; a string is never read as a
+        list of labels."""
         try:
-            carrier = Carrier.of(doc["carrier"])
-            members = tuple(
-                (str(m["name"]), frozenset(m["set"])) for m in doc["members"]
-            )
+            labels = doc["carrier"]
+            members = [(str(m["name"]), m["set"]) for m in doc["members"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed family document: {exc}") from exc
-        return cls(carrier, members)
+        _json_field(labels, list, "carrier")
+        for i, (_, s) in enumerate(members):
+            _json_field(s, list, f"members[{i}].set")
+        try:  # labels that cannot be hashed or sorted
+            carrier = Carrier.of(labels)
+            members = [(n, frozenset(s)) for n, s in members]
+        except TypeError as exc:
+            raise DomainError(f"malformed family document: {exc}") from exc
+        return cls(carrier, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -366,7 +390,7 @@ def extend_ultrafilter(
 
 
 @dataclass(frozen=True)
-class FipResult:
+class FipResult(Generic[_T]):
     """Outcome of a finite intersection property check.
 
     Exactly one of ``intersection`` (success) and ``witness`` (failure) is
@@ -374,11 +398,27 @@ class FipResult:
     """
 
     has_fip: bool
-    intersection: frozenset[str] | None = None
+    intersection: _T | None = None
     witness: tuple[int, ...] | None = None
 
 
-def fip_check(sets: Sequence[Iterable[str]]) -> FipResult:
+def _fip_search(
+    sets: Sequence[_T], meet: Callable[[_T, _T], _T], is_empty: Callable[[_T], bool]
+) -> FipResult[_T]:
+    """The finite intersection property of a nonempty list, for any
+    associative meet and emptiness test; the witness search behind
+    ``fip_check`` and ``z_fip_check``."""
+    total = reduce(meet, sets)
+    if not is_empty(total):
+        return FipResult(True, intersection=total)
+    for size in range(1, len(sets) + 1):
+        for combo in combinations(range(len(sets)), size):
+            if is_empty(reduce(meet, (sets[i] for i in combo))):
+                return FipResult(False, witness=combo)
+    raise UltratopError("unreachable: empty total intersection without a witness")
+
+
+def fip_check(sets: Sequence[Iterable[str]]) -> FipResult[frozenset[str]]:
     """Decide the finite intersection property for a list of finite sets.
 
     On success the total intersection is returned; it is nonempty because the
@@ -389,11 +429,4 @@ def fip_check(sets: Sequence[Iterable[str]]) -> FipResult:
     frozen = [frozenset(s) for s in sets]
     if not frozen:
         raise DomainError("fip_check needs a nonempty list of sets")
-    total = frozenset.intersection(*frozen)
-    if total:
-        return FipResult(True, intersection=total)
-    for size in range(1, len(frozen) + 1):
-        for combo in combinations(range(len(frozen)), size):
-            if not frozenset.intersection(*(frozen[i] for i in combo)):
-                return FipResult(False, witness=combo)
-    raise UltratopError("unreachable: empty total intersection without a witness")
+    return _fip_search(frozen, operator.and_, operator.not_)

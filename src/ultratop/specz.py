@@ -1,13 +1,13 @@
 """A symbolic, decidable model of the prime spectrum of the integers.
 
 Points are the primes together with one generic point for the zero ideal.
-Constructible subsets are exactly the finite sets of primes and their
-complements, stored in a normal form (finite prime support plus a cofinite
-flag); a constructible set contains the generic point precisely when it is
-cofinite.  More general subsets with finite or cofinite prime support are
-modelled by descriptors.
+A subset with finite or cofinite prime support is stored in one normal form,
+the descriptor: the listed primes, a cofinite flag saying whether they are
+the support or its exclusions, and a generic-point flag.  Constructible
+subsets are exactly the finite sets of primes and their complements: the
+descriptors that contain the generic point precisely when they are cofinite.
 
-These normal forms make the closure operators exact rather than approximate:
+This normal form makes the closure operators exact rather than approximate:
 principal ultrafilters on a subset recover its own points, every ultrafilter
 without a smallest member sends the limit to the generic point, and so a
 subset closes up under ultrafilter limits by adjoining the generic point
@@ -18,10 +18,10 @@ the infinite phenomena this model deliberately leaves out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .core import DomainError, UltratopError
+from .core import DomainError, FipResult, UltratopError, _fip_search, _json_field
 
 FACTOR_CAP = 10**12
 
@@ -118,121 +118,18 @@ class ZPoint:
 
 
 @dataclass(frozen=True)
-class ZConstructible:
-    """Normal form of a constructible subset: listed or excluded primes.
+class ZSubsetDescriptor:
+    """A subset of the model with finite or cofinite prime support.
 
-    cofinite=False: exactly the listed primes, generic point excluded.
-    cofinite=True: every prime not listed, generic point included.
+    This is the one normal form: when ``cofinite`` is set the listed primes
+    are the exclusions, and ``generic`` tracks the generic point separately,
+    so arbitrary (not just constructible) subsets of this shape are
+    expressible.
     """
 
     primes: frozenset[int] = frozenset()
     cofinite: bool = False
-
-    def __post_init__(self) -> None:
-        for p in self.primes:
-            if not is_prime(p):
-                raise DomainError(f"{p} is not a prime number")
-
-    @classmethod
-    def empty(cls) -> "ZConstructible":
-        return cls()
-
-    @classmethod
-    def whole(cls) -> "ZConstructible":
-        return cls(cofinite=True)
-
-    @property
-    def contains_generic(self) -> bool:
-        return self.cofinite
-
-    def contains_prime(self, p: int) -> bool:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not a prime number")
-        return (p in self.primes) != self.cofinite
-
-    def contains(self, point: ZPoint) -> bool:
-        if point.is_generic:
-            return self.contains_generic
-        return self.contains_prime(point.prime)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.primes
-
-    @property
-    def is_whole(self) -> bool:
-        return self.cofinite and not self.primes
-
-    def complement(self) -> "ZConstructible":
-        return ZConstructible(self.primes, not self.cofinite)
-
-    def union(self, other: "ZConstructible") -> "ZConstructible":
-        if not self.cofinite and not other.cofinite:
-            return ZConstructible(self.primes | other.primes, False)
-        if self.cofinite and other.cofinite:
-            return ZConstructible(self.primes & other.primes, True)
-        cof, fin = (self, other) if self.cofinite else (other, self)
-        return ZConstructible(cof.primes - fin.primes, True)
-
-    def intersect(self, other: "ZConstructible") -> "ZConstructible":
-        return self.complement().union(other.complement()).complement()
-
-    def __or__(self, other: "ZConstructible") -> "ZConstructible":
-        return self.union(other)
-
-    def __and__(self, other: "ZConstructible") -> "ZConstructible":
-        return self.intersect(other)
-
-    def __invert__(self) -> "ZConstructible":
-        return self.complement()
-
-    def to_json(self) -> dict:
-        return {
-            "primes": sorted(self.primes),
-            "mode": "cofinite" if self.cofinite else "finite",
-            "generic": self.cofinite,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ZConstructible":
-        mode = doc["mode"]
-        if mode not in ("finite", "cofinite"):
-            raise DomainError(f"unknown mode {mode!r}")
-        cofinite = mode == "cofinite"
-        if bool(doc.get("generic", cofinite)) != cofinite:
-            raise DomainError(
-                "a constructible set contains the generic point exactly when"
-                " it is cofinite"
-            )
-        return cls(frozenset(int(p) for p in doc["primes"]), cofinite)
-
-
-def v_of(n: int) -> ZConstructible:
-    """Vanishing locus of an integer: primes dividing it; everything for 0."""
-    if n == 0:
-        return ZConstructible.whole()
-    if abs(n) == 1:
-        return ZConstructible.empty()
-    return ZConstructible(prime_factors(n), False)
-
-
-def d_of(n: int) -> ZConstructible:
-    """Principal open locus: the complement of the vanishing locus."""
-    return v_of(n).complement()
-
-
-@dataclass(frozen=True)
-class ZSubsetDescriptor:
-    """A subset of the model with finite or cofinite prime support.
-
-    When ``cofinite_primes`` is set the listed primes are the exclusions;
-    ``include_generic`` tracks the generic point separately, so arbitrary
-    (not just constructible) subsets of this shape are expressible.
-    """
-
-    primes: frozenset[int] = frozenset()
-    cofinite_primes: bool = False
-    include_generic: bool = False
+    generic: bool = False
 
     def __post_init__(self) -> None:
         for p in self.primes:
@@ -264,59 +161,137 @@ class ZSubsetDescriptor:
 
     @property
     def has_infinite_prime_support(self) -> bool:
-        return self.cofinite_primes
+        return self.cofinite
 
     def contains_prime(self, p: int) -> bool:
         if not is_prime(p):
             raise DomainError(f"{p} is not a prime number")
-        return (p in self.primes) != self.cofinite_primes
+        return (p in self.primes) != self.cofinite
 
     def contains(self, point: ZPoint) -> bool:
         if point.is_generic:
-            return self.include_generic
+            return self.generic
         return self.contains_prime(point.prime)
 
     def is_subset_of(self, other: "ZSubsetDescriptor") -> bool:
-        if self.include_generic and not other.include_generic:
+        if self.generic and not other.generic:
             return False
-        if not self.cofinite_primes:
-            if not other.cofinite_primes:
+        if not self.cofinite:
+            if not other.cofinite:
                 return self.primes <= other.primes
             return not (self.primes & other.primes)
-        if not other.cofinite_primes:
+        if not other.cofinite:
             return False  # infinitely many primes cannot fit a finite set
         return other.primes <= self.primes
 
     def to_json(self) -> dict:
         return {
             "primes": sorted(self.primes),
-            "mode": "cofinite" if self.cofinite_primes else "finite",
-            "generic": self.include_generic,
+            "mode": "cofinite" if self.cofinite else "finite",
+            "generic": self.generic,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ZSubsetDescriptor":
-        mode = doc["mode"]
+        """Validated construction from a JSON document: ``mode`` a string,
+        ``primes`` a list of integers, ``generic`` a boolean (the field's
+        default if absent).  A field of another JSON type raises a TypeError
+        that names it."""
+        mode = _json_field(doc["mode"], str, "mode")
         if mode not in ("finite", "cofinite"):
             raise DomainError(f"unknown mode {mode!r}")
+        generic = doc.get("generic", cls.generic)
+        if "generic" in doc:
+            _json_field(generic, bool, "generic")
+        primes = _json_field(doc["primes"], list, "primes")
         return cls(
-            frozenset(int(p) for p in doc["primes"]),
+            frozenset(_json_field(p, int, f"primes[{i}]") for i, p in enumerate(primes)),
             mode == "cofinite",
-            bool(doc.get("generic", False)),
+            generic,
         )
+
+
+@dataclass(frozen=True)
+class ZConstructible(ZSubsetDescriptor):
+    """A constructible subset: listed or excluded primes, closed under the
+    Boolean operations.
+
+    cofinite=False: exactly the listed primes, generic point excluded.
+    cofinite=True: every prime not listed, generic point included.
+    ``generic`` defaults to ``cofinite``; a different value is refused.
+    """
+
+    generic: bool = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.generic is None:
+            object.__setattr__(self, "generic", self.cofinite)
+        elif self.generic != self.cofinite:
+            raise DomainError(
+                "a constructible set contains the generic point exactly when it is cofinite"
+            )
+        super().__post_init__()
+
+    @property
+    def contains_generic(self) -> bool:
+        return self.cofinite
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cofinite and not self.primes
+
+    @property
+    def is_whole(self) -> bool:
+        return self.cofinite and not self.primes
+
+    def complement(self) -> "ZConstructible":
+        return ZConstructible(self.primes, not self.cofinite)
+
+    def union(self, other: "ZConstructible") -> "ZConstructible":
+        if not self.cofinite and not other.cofinite:
+            return ZConstructible(self.primes | other.primes, False)
+        if self.cofinite and other.cofinite:
+            return ZConstructible(self.primes & other.primes, True)
+        cof, fin = (self, other) if self.cofinite else (other, self)
+        return ZConstructible(cof.primes - fin.primes, True)
+
+    def intersect(self, other: "ZConstructible") -> "ZConstructible":
+        if not self.cofinite and not other.cofinite:
+            return ZConstructible(self.primes & other.primes, False)
+        if self.cofinite and other.cofinite:
+            return ZConstructible(self.primes | other.primes, True)
+        cof, fin = (self, other) if self.cofinite else (other, self)
+        return ZConstructible(fin.primes - cof.primes, False)
+
+    __or__, __and__, __invert__ = union, intersect, complement
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "ZConstructible":
+        """As for descriptors; a ``generic`` that differs from the mode is
+        refused, and a missing one follows the mode."""
+        return super().from_json(doc)
+
+
+def v_of(n: int) -> ZConstructible:
+    """Vanishing locus of an integer: primes dividing it; everything for 0."""
+    if n == 0:
+        return ZConstructible.whole()
+    if abs(n) == 1:
+        return ZConstructible.empty()
+    return ZConstructible(prime_factors(n), False)
+
+
+def d_of(n: int) -> ZConstructible:
+    """Principal open locus: the complement of the vanishing locus."""
+    return v_of(n).complement()
 
 
 def constructible_to_descriptor(c: ZConstructible) -> ZSubsetDescriptor:
-    return ZSubsetDescriptor(c.primes, c.cofinite, c.cofinite)
+    return ZSubsetDescriptor(c.primes, c.cofinite, c.generic)
 
 
 def descriptor_to_constructible(y: ZSubsetDescriptor) -> ZConstructible:
-    if y.include_generic != y.cofinite_primes:
-        raise DomainError(
-            "only subsets whose generic point matches their cofinite flag are"
-            " constructible"
-        )
-    return ZConstructible(y.primes, y.cofinite_primes)
+    return ZConstructible(y.primes, y.cofinite, y.generic)
 
 
 def limit_points(y: ZSubsetDescriptor) -> ZSubsetDescriptor:
@@ -326,8 +301,8 @@ def limit_points(y: ZSubsetDescriptor) -> ZSubsetDescriptor:
     smallest member exists exactly when the prime support is infinite, and
     every such limit is the generic point.
     """
-    if y.cofinite_primes and not y.include_generic:
-        return replace(y, include_generic=True)
+    if y.cofinite and not y.generic:
+        return replace(y, generic=True)
     return y
 
 
@@ -344,21 +319,15 @@ def is_ultra_closed(y: ZSubsetDescriptor) -> bool:
 
 def zariski_closure(y: ZSubsetDescriptor) -> ZSubsetDescriptor:
     """Finite prime sets are closed; anything else is dense."""
-    if not y.cofinite_primes and not y.include_generic:
+    if not y.cofinite and not y.generic:
         return y
     return ZSubsetDescriptor.whole()
 
 
-@dataclass(frozen=True)
-class ZFipResult:
-    """Outcome of a symbolic finite intersection property check."""
-
-    has_fip: bool
-    intersection: ZConstructible | None = None
-    witness: tuple[int, ...] | None = None
+ZFipResult = FipResult
 
 
-def z_fip_check(sets: Sequence[ZConstructible]) -> ZFipResult:
+def z_fip_check(sets: Sequence[ZConstructible]) -> FipResult[ZConstructible]:
     """Decide the finite intersection property for constructible sets.
 
     Intersections are computed exactly in normal form, so the verdict is
@@ -368,16 +337,4 @@ def z_fip_check(sets: Sequence[ZConstructible]) -> ZFipResult:
     """
     if not sets:
         raise DomainError("z_fip_check needs a nonempty list of sets")
-    total = sets[0]
-    for c in sets[1:]:
-        total = total.intersect(c)
-    if not total.is_empty:
-        return ZFipResult(True, intersection=total)
-    for size in range(1, len(sets) + 1):
-        for combo in combinations(range(len(sets)), size):
-            inter = sets[combo[0]]
-            for i in combo[1:]:
-                inter = inter.intersect(sets[i])
-            if inter.is_empty:
-                return ZFipResult(False, witness=combo)
-    raise UltratopError("unreachable: empty total intersection without a witness")
+    return _fip_search(sets, ZConstructible.intersect, attrgetter("is_empty"))

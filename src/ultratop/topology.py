@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Carrier, DomainError, SetFamily, UltratopError, _join_closure, _union_at
+from .core import (
+    Carrier, DomainError, SetFamily, UltratopError, _join_closure, _json_field, _union_at
+)
 
 
 class NotT0Error(DomainError):
@@ -176,14 +178,11 @@ class FinSpace:
     def from_json(cls, doc: dict) -> "FinSpace":
         """Validated construction from a JSON document; a string is never
         read as a list of labels."""
-        carrier, closed = doc["carrier"], doc["closed"]
-        fields = [("carrier", carrier), ("closed", closed)]
-        if isinstance(closed, list):
-            fields += [(f"closed[{i}]", s) for i, s in enumerate(closed)]
-        for path, value in fields:
-            if not isinstance(value, list):
-                raise TypeError(f"{path} must be a list, not {type(value).__name__}")
-        return cls.from_closed(carrier, [frozenset(s) for s in closed])
+        carrier = _json_field(doc["carrier"], list, "carrier")
+        closed = _json_field(doc["closed"], list, "closed")
+        for i, c in enumerate(closed):
+            _json_field(c, list, f"closed[{i}]")
+        return cls.from_closed(carrier, [frozenset(c) for c in closed])
 
 
 def _space_of_closures(carrier: Carrier, closures: Iterable[int]) -> FinSpace:

@@ -80,16 +80,44 @@ class TestExitCodes:
         assert code == 2
         assert err
 
+    # the verbs that read each kind of document, keyed by a field only it has
+    VERBS_BY_KEY = {
+        "closed": ("check-spectral", "patch"),
+        "members": ("ultra-topology", "atoms"),
+        "family": ("closure",),
+        "sets": ("specz-fip",),
+    }
+
     @pytest.mark.parametrize(
         "doc, path",
         [
             ({"carrier": ["a", "b"], "closed": [[], "ab", "a"]}, "closed[1]"),
             ({"carrier": "ab", "closed": [[], ["a"], ["a", "b"]]}, "carrier"),
             ({"carrier": ["a"], "closed": "a"}, "closed"),
+            ({"carrier": "abc", "members": [{"name": "F0", "set": ["a"]}]}, "carrier"),
+            (
+                {"carrier": ["a", "b"], "members": [
+                    {"name": "F0", "set": ["a"]}, {"name": "F1", "set": "ab"}
+                ]},
+                "members[1].set",
+            ),
+            ({"family": FAMILY_DOC, "set": "ab"}, "set must be a list"),
+            ({"sets": "ab"}, "sets must be a list"),
+            (
+                {"sets": [{"v_of": 6}, {"primes": [2], "mode": "finite", "generic": "false"}]},
+                "sets[1].generic",
+            ),
+            ({"sets": [{"primes": "23", "mode": "finite"}]}, "sets[0].primes"),
+            ({"sets": [{"primes": [2.9], "mode": "finite"}]}, "sets[0].primes[0]"),
+            ({"sets": [{"primes": [], "mode": 5}]}, "sets[0].mode"),
+            ({"sets": [{"v_of": "12"}]}, "sets[0].v_of"),
+            ({"sets": [{"v_of": 12.7}]}, "sets[0].v_of"),
+            ({"sets": [{"v_of": 6}, {"d_of": True}]}, "sets[1].d_of"),
         ],
     )
     def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
-        for verb in ("check-spectral", "patch"):
+        verbs = next(v for key, v in self.VERBS_BY_KEY.items() if key in doc)
+        for verb in verbs:
             code, out, err = run_file(tmp_path, capsys, verb, doc)
             assert (code, out) == (1, "")
             assert path in err

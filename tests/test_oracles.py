@@ -5,7 +5,9 @@ sets in one join sweep, and reads limit sets from one atom table.  The
 functions below are the earlier algorithms those replaced: they scan the
 whole closed-set lattice or rescan all pairs until nothing changes.  They
 are slow but follow the definitions, so they serve as reference oracles on
-seeded random inputs.
+seeded random inputs.  The same holds for the finite intersection property
+(every subfamily is tried) and for the Spec(Z) intersection (the
+complement of the union of the complements).
 """
 
 import ast
@@ -14,6 +16,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratop import (
     Carrier,
@@ -23,8 +26,11 @@ from ultratop import (
     RingEmbedding,
     SetFamily,
     SpectralReport,
+    ZConstructible,
+    ZPoint,
     all_ideals,
     family_transforms,
+    fip_check,
     from_subbasis,
     gf,
     intermediate_rings,
@@ -36,6 +42,7 @@ from ultratop import (
     product,
     stable_closure,
     subring_closure,
+    z_fip_check,
     zmod,
 )
 from conftest import random_family
@@ -370,3 +377,68 @@ def test_intermediate_rings_match_the_pairwise_joins():
         for _ in range(20):
             seed = rng.sample(range(ambient.size), 2)
             assert subring_closure(ambient, seed) == fixpoint_subring_closure(ambient, seed)
+
+
+def first_empty_subfamily(count, is_empty_meet):
+    """The smallest set of indices whose meet is empty, the lexicographically
+    first among those of that size, from every subset of range(count)."""
+    subsets = (tuple(i for i in range(count) if (bits >> i) & 1) for bits in range(1, 1 << count))
+    empties = [idx for idx in subsets if is_empty_meet(idx)]
+    return min(empties, key=lambda idx: (len(idx), idx), default=None)
+
+
+def check_fip_contract(result, count, is_empty_meet):
+    witness = first_empty_subfamily(count, is_empty_meet)
+    assert result.has_fip == (witness is None)
+    assert result.witness == witness
+    assert (result.intersection is None) == (witness is not None)
+
+
+def test_fip_witness_is_the_first_smallest_empty_subfamily():
+    rng = random.Random(2029)
+    for _ in range(400):
+        sets = [
+            {x for x in range(5) if rng.random() < 0.6} for _ in range(rng.randint(1, 7))
+        ]
+        result = fip_check(sets)
+        check_fip_contract(
+            result, len(sets), lambda idx: not set.intersection(*(sets[i] for i in idx))
+        )
+        if result.has_fip:
+            assert result.intersection == set.intersection(*sets)
+
+
+Z_PRIMES = (2, 3, 5, 7)
+# one prime outside Z_PRIMES stands for all of them: no set lists it
+Z_POINTS = [ZPoint.at(p) for p in (*Z_PRIMES, 11)] + [ZPoint.generic()]
+
+
+def test_z_fip_witness_is_the_first_smallest_empty_subfamily():
+    rng = random.Random(2030)
+    for _ in range(300):
+        sets = [
+            ZConstructible(
+                frozenset(p for p in Z_PRIMES if rng.random() < 0.4), rng.random() < 0.5
+            )
+            for _ in range(rng.randint(1, 7))
+        ]
+        result = z_fip_check(sets)
+        check_fip_contract(
+            result,
+            len(sets),
+            lambda idx: not any(all(sets[i].contains(x) for i in idx) for x in Z_POINTS),
+        )
+        if result.has_fip:
+            for x in Z_POINTS:
+                assert result.intersection.contains(x) == all(c.contains(x) for c in sets)
+
+
+constructibles = st.builds(
+    ZConstructible, st.frozensets(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=4), st.booleans()
+)
+
+
+@given(constructibles, constructibles)
+@settings(max_examples=300, deadline=None)
+def test_intersect_is_the_complement_of_the_union_of_complements(a, b):
+    assert a.intersect(b) == a.complement().union(b.complement()).complement()
