@@ -1,10 +1,19 @@
 """Command line front end: JSON documents in, JSON or DOT out.
 
+Every verb is one row of ``_VERBS``: its handler, its input argument
+(required, optional or none) and whether it may print DOT.  A handler takes
+the parsed arguments and the document, and returns the body of the output: a
+dict, or DOT text.  ``main`` alone reads the document, rejects ``--format
+dot`` on JSON-only verbs, adds the ``schema`` and ``verb`` header and writes
+stdout.
+
 Exit codes: 0 on success, 1 on malformed input (bad flags, unreadable files,
-broken JSON, missing keys, fields of the wrong JSON type), 2 on domain
-violations (inputs that parse but break a precondition, with the violating
-item named).  Output is deterministic: identical invocations produce
-identical bytes, and every output carries the schema tag v1.
+broken JSON, missing keys, fields of the wrong JSON type, conflicting
+inputs), 2 on domain violations (inputs that parse but break a precondition,
+with the violating item named), 3 on internal errors (an invariant of the
+library failed; one line on stderr).  Output is deterministic: identical
+invocations produce identical bytes, and every output carries the schema
+tag v1.
 """
 
 from __future__ import annotations
@@ -15,35 +24,23 @@ import sys
 from dataclasses import replace
 from typing import Callable
 
-from .core import DomainError, SetFamily, _json_field, atoms, stable_closure, is_stable
+from .core import (
+    DomainError, SetFamily, UltratopError, _json_field, atoms, is_stable, stable_closure,
+)
 from .rings import (
-    FiniteRing,
-    RingEmbedding,
-    intermediate_rings,
-    overring_space,
-    spec_space,
-    zmod,
+    FiniteRing, RingEmbedding, _spectrum, intermediate_rings, overring_space, spec_space, zmod,
 )
 from .specz import (
-    ZConstructible,
-    ZSubsetDescriptor,
-    is_ultra_closed,
-    patch_closure,
-    v_of,
-    d_of,
-    z_fip_check,
+    ZConstructible, ZSubsetDescriptor, d_of, is_ultra_closed, patch_closure, v_of, z_fip_check,
     zariski_closure,
 )
 from .topology import (
-    FinSpace,
-    hasse_dot,
-    is_spectral,
-    patch_topology,
-    specialization_order,
-    ultra_topology,
+    FinSpace, hasse_dot, is_spectral, patch_topology, specialization_order, ultra_topology,
 )
 
 SCHEMA = "v1"
+
+_Body = dict | str  # a JSON object, or DOT text
 
 
 class InputError(Exception):
@@ -69,149 +66,77 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
-def _emit(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _dot(graph: str) -> str:
-    return f"// ultratop schema {SCHEMA}\n" + graph
-
-
-def _json_only(args: argparse.Namespace) -> None:
-    if args.format != "json":
-        raise InputError(f"{args.verb} supports only --format json")
-
-
 def _sorted_sets(sets) -> list[list[str]]:
     return [sorted(s) for s in sets]
 
 
-def _cmd_ultra_topology(args: argparse.Namespace) -> str:
-    _json_only(args)
-    family = SetFamily.from_json(_read_doc(args.input))
-    space = ultra_topology(family)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "carrier": list(space.carrier.points),
-            "closed": _sorted_sets(space.closed_sets()),
-        }
-    )
+def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
+    space = ultra_topology(SetFamily.from_json(doc))
+    return {"carrier": list(space.carrier.points), "closed": _sorted_sets(space.closed_sets())}
 
 
-def _cmd_closure(args: argparse.Namespace) -> str:
-    _json_only(args)
-    doc = _read_doc(args.input)
+def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
     family = SetFamily.from_json(doc["family"])
-    subset = frozenset(str(x) for x in _json_field(doc["set"], list, "set"))
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "set": sorted(subset),
-            "closure": sorted(stable_closure(family, subset)),
-            "is_stable": is_stable(family, subset),
-        }
-    )
+    subset = frozenset(_json_field(doc["set"], list, "set", str))
+    return {
+        "set": sorted(subset),
+        "closure": sorted(stable_closure(family, subset)),
+        "is_stable": is_stable(family, subset),
+    }
 
 
-def _cmd_atoms(args: argparse.Namespace) -> str:
-    _json_only(args)
-    family = SetFamily.from_json(_read_doc(args.input))
+def _cmd_atoms(args: argparse.Namespace, doc: dict) -> _Body:
+    family = SetFamily.from_json(doc)
     alg = atoms(family)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "carrier": list(family.carrier.points),
-            "atoms": _sorted_sets(alg.atoms),
-            "element_count": alg.element_count,
-        }
-    )
+    return {
+        "carrier": list(family.carrier.points),
+        "atoms": _sorted_sets(alg.atoms),
+        "element_count": alg.element_count,
+    }
 
 
-def _cmd_check_spectral(args: argparse.Namespace) -> str:
-    _json_only(args)
-    space = FinSpace.from_json(_read_doc(args.input))
-    report = is_spectral(space)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "carrier": list(space.carrier.points),
-            "report": report.to_json(),
-        }
-    )
+def _cmd_check_spectral(args: argparse.Namespace, doc: dict) -> _Body:
+    space = FinSpace.from_json(doc)
+    return {"carrier": list(space.carrier.points), "report": is_spectral(space).to_json()}
 
 
-def _cmd_patch(args: argparse.Namespace) -> str:
-    _json_only(args)
-    space = FinSpace.from_json(_read_doc(args.input))
-    patched = patch_topology(space)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "carrier": list(patched.carrier.points),
-            "closed": _sorted_sets(patched.closed_sets()),
-        }
-    )
+def _cmd_patch(args: argparse.Namespace, doc: dict) -> _Body:
+    patched = patch_topology(FinSpace.from_json(doc))
+    return {"carrier": list(patched.carrier.points), "closed": _sorted_sets(patched.closed_sets())}
 
 
-def _load_ring(args: argparse.Namespace) -> FiniteRing:
-    if args.zmod is not None:
-        return zmod(args.zmod)
-    if args.input is None:
-        raise InputError("spec needs --zmod N or a ring document")
-    return FiniteRing.from_json(_read_doc(args.input))
-
-
-def _cmd_spec(args: argparse.Namespace) -> str:
-    ring = _load_ring(args)
+def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
+    if (args.zmod is None) == (doc is None):
+        both = "" if doc is None else ", not both"
+        raise InputError(f"spec needs --zmod N or a ring document{both}")
+    ring = zmod(args.zmod) if doc is None else FiniteRing.from_json(doc)
     space = spec_space(ring)
     if args.format == "dot":
-        return _dot(hasse_dot(specialization_order(space), name="spec"))
-    from .rings import _spectrum  # deterministic (label, members) pairs
-
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "ring": ring.name,
-            "primes": [
-                {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
-                for label, mem in _spectrum(ring)
-            ],
-            "closed": _sorted_sets(space.closed_sets()),
-        }
-    )
+        return hasse_dot(specialization_order(space), name="spec")
+    return {
+        "ring": ring.name,
+        "primes": [  # deterministic (label, members) pairs
+            {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
+            for label, mem in _spectrum(ring)
+        ],
+        "closed": _sorted_sets(space.closed_sets()),
+    }
 
 
-def _cmd_overrings(args: argparse.Namespace) -> str:
-    doc = _read_doc(args.input)
+def _cmd_overrings(args: argparse.Namespace, doc: dict) -> _Body:
     source = FiniteRing.from_json(doc["source"], name="source")
     target = FiniteRing.from_json(doc["target"], name="target")
-    emb = RingEmbedding(source, target, tuple(int(i) for i in doc["map"]))
+    emb = RingEmbedding(source, target, tuple(_json_field(doc["map"], list, "map", int)))
     space = overring_space(emb)
     if args.format == "dot":
-        return _dot(hasse_dot(specialization_order(space), name="overrings"))
-    rings = intermediate_rings(emb)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "rings": [
-                {
-                    "label": r.label(),
-                    "size": r.size,
-                    "members": sorted(r.labels),
-                }
-                for r in rings
-            ],
-            "spectral": is_spectral(space).to_json(),
-        }
-    )
+        return hasse_dot(specialization_order(space), name="overrings")
+    return {
+        "rings": [
+            {"label": r.label(), "size": r.size, "members": sorted(r.labels)}
+            for r in intermediate_rings(emb)
+        ],
+        "spectral": is_spectral(space).to_json(),
+    }
 
 
 def _parse_primes(spec: str) -> ZSubsetDescriptor:
@@ -224,27 +149,26 @@ def _parse_primes(spec: str) -> ZSubsetDescriptor:
     return ZSubsetDescriptor.finite(primes)
 
 
-def _cmd_specz_closure(args: argparse.Namespace) -> str:
-    _json_only(args)
+def _cmd_specz_closure(args: argparse.Namespace, doc: None) -> _Body:
     base = _parse_primes(args.primes)
     if args.generic:
         base = replace(base, generic=True)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "input": base.to_json(),
-            "patch_closure": patch_closure(base).to_json(),
-            "zariski_closure": zariski_closure(base).to_json(),
-            "is_ultra_closed": is_ultra_closed(base),
-        }
-    )
+    return {
+        "input": base.to_json(),
+        "patch_closure": patch_closure(base).to_json(),
+        "zariski_closure": zariski_closure(base).to_json(),
+        "is_ultra_closed": is_ultra_closed(base),
+    }
 
 
 def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
-    """One entry of ``sets``; a badly typed field raises a TypeError whose
-    message starts with the field's path in the document."""
+    """One entry of ``sets``: ``v_of``, ``d_of`` or an inline subset, never
+    two of them.  A badly typed field raises a TypeError whose message starts
+    with the field's path in the document."""
     _json_field(entry, dict, path)
+    given = [key for key in ("v_of", "d_of", "primes", "mode") if key in entry]
+    if len(given) > 1 and given != ["primes", "mode"]:
+        raise InputError(f"{path} gives more than one of v_of, d_of and primes/mode")
     try:
         for key, locus in (("v_of", v_of), ("d_of", d_of)):
             if key in entry:
@@ -254,35 +178,28 @@ def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
         raise TypeError(f"{path}.{e}") from None
 
 
-def _cmd_specz_fip(args: argparse.Namespace) -> str:
-    _json_only(args)
-    doc = _read_doc(args.input)
+def _cmd_specz_fip(args: argparse.Namespace, doc: dict) -> _Body:
     entries = _json_field(doc["sets"], list, "sets")
     sets = [_constructible_from_entry(e, f"sets[{i}]") for i, e in enumerate(entries)]
     result = z_fip_check(sets)
-    return _emit(
-        {
-            "schema": SCHEMA,
-            "verb": args.verb,
-            "has_fip": result.has_fip,
-            "intersection": (
-                result.intersection.to_json() if result.intersection else None
-            ),
-            "witness": list(result.witness) if result.witness else None,
-        }
-    )
+    return {
+        "has_fip": result.has_fip,
+        "intersection": result.intersection.to_json() if result.intersection else None,
+        "witness": list(result.witness) if result.witness else None,
+    }
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], str]] = {
-    "ultra-topology": _cmd_ultra_topology,
-    "closure": _cmd_closure,
-    "atoms": _cmd_atoms,
-    "check-spectral": _cmd_check_spectral,
-    "patch": _cmd_patch,
-    "spec": _cmd_spec,
-    "overrings": _cmd_overrings,
-    "specz-closure": _cmd_specz_closure,
-    "specz-fip": _cmd_specz_fip,
+# verb -> (handler, input argument: "required", "optional" or None, may print DOT)
+_VERBS: dict[str, tuple[Callable[[argparse.Namespace, dict | None], _Body], str | None, bool]] = {
+    "ultra-topology": (_cmd_ultra_topology, "required", False),
+    "closure": (_cmd_closure, "required", False),
+    "atoms": (_cmd_atoms, "required", False),
+    "check-spectral": (_cmd_check_spectral, "required", False),
+    "patch": (_cmd_patch, "required", False),
+    "spec": (_cmd_spec, "optional", True),
+    "overrings": (_cmd_overrings, "required", True),
+    "specz-closure": (_cmd_specz_closure, None, False),
+    "specz-fip": (_cmd_specz_fip, "required", False),
 }
 
 
@@ -295,32 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="reserved for randomized commands; accepted for interface stability",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb: str, with_input: bool = True, optional_input: bool = False):
-        p = sub.add_parser(verb)
-        if with_input:
-            if optional_input:
-                p.add_argument("input", nargs="?", default=None,
-                               help="path to a JSON document, or - for stdin")
-            else:
-                p.add_argument("input", help="path to a JSON document, or - for stdin")
+    verbs = {}
+    for verb, (_, takes, _) in _VERBS.items():
+        p = verbs[verb] = sub.add_parser(verb)
+        if takes:
+            p.add_argument("input", nargs="?" if takes == "optional" else None, default=None,
+                           help="path to a JSON document, or - for stdin")
         p.add_argument("--format", choices=("json", "dot"), default="json")
-        return p
-
-    add("ultra-topology")
-    add("closure")
-    add("atoms")
-    add("check-spectral")
-    add("patch")
-    spec = add("spec", optional_input=True)
-    spec.add_argument("--zmod", type=int, default=None, metavar="N")
-    add("overrings")
-    zc = add("specz-closure", with_input=False)
-    zc.add_argument("--primes", required=True,
-                    help="'all' for every prime, or a comma-separated list")
-    zc.add_argument("--generic", action="store_true",
-                    help="include the generic point in the input subset")
-    add("specz-fip")
+    verbs["spec"].add_argument("--zmod", type=int, default=None, metavar="N")
+    verbs["specz-closure"].add_argument("--primes", required=True,
+                                        help="'all' for every prime, or a comma-separated list")
+    verbs["specz-closure"].add_argument("--generic", action="store_true",
+                                        help="include the generic point in the input subset")
     return parser
 
 
@@ -328,17 +231,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        out = _HANDLERS[args.verb](args)
+        handler, _, dot = _VERBS[args.verb]
+        if args.format == "dot" and not dot:
+            raise InputError(f"{args.verb} supports only --format json")
+        path = getattr(args, "input", None)
+        body = handler(args, None if path is None else _read_doc(path))
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 2
+    except UltratopError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (KeyError, TypeError, ValueError) as e:
         print(f"error: malformed input: {e!r}", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
+    if isinstance(body, str):
+        sys.stdout.write(f"// ultratop schema {SCHEMA}\n" + body)
+    else:
+        body = {"schema": SCHEMA, "verb": args.verb, **body}
+        sys.stdout.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -37,14 +37,19 @@ _JSON_KINDS = {
 }
 
 
-def _json_field(value: _T, kind: type, path: str) -> _T:
-    """Pass a JSON document's field through if it has the given kind.
+def _json_field(value: _T, kind: type, path: str, item: type | None = None) -> _T:
+    """Pass a JSON document's field through if it has the given kind, and
+    if it is a list whose entries all have the kind ``item`` when one is given.
 
-    Otherwise raise a TypeError naming the field, so that a string is never
-    read as a list and a boolean or a float never as an integer.
+    Otherwise raise a TypeError naming the field or its first bad entry, so
+    that a string is never read as a list and a boolean or a float never as
+    an integer.  A list of exact items is checked in one pass.
     """
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise TypeError(f"{path} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    if item is not None and not set(map(type, value)) <= {item}:
+        for i, v in enumerate(value):
+            _json_field(v, item, f"{path}[{i}]")
     return value
 
 
@@ -197,22 +202,21 @@ class SetFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SetFamily":
-        """Construction from a JSON document; a string is never read as a
-        list of labels."""
+        """Construction from a JSON document; carrier labels are strings, and
+        a string is never read as a list of labels."""
         try:
             labels = doc["carrier"]
             members = [(str(m["name"]), m["set"]) for m in doc["members"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed family document: {exc}") from exc
-        _json_field(labels, list, "carrier")
+        _json_field(labels, list, "carrier", str)
         for i, (_, s) in enumerate(members):
             _json_field(s, list, f"members[{i}].set")
-        try:  # labels that cannot be hashed or sorted
-            carrier = Carrier.of(labels)
+        try:  # member labels that cannot be hashed
             members = [(n, frozenset(s)) for n, s in members]
         except TypeError as exc:
             raise DomainError(f"malformed family document: {exc}") from exc
-        return cls(carrier, tuple(members))
+        return cls(Carrier.of(labels), tuple(members))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .core import Carrier, DomainError, PrincipalUltrafilter, SetFamily, UltratopError
-from .core import _join_closure
+from .core import _join_closure, _json_field
 from .topology import FinSpace, from_subbasis
 
 MAX_RING = 64
@@ -74,12 +74,24 @@ class FiniteRing:
 
     @classmethod
     def from_json(cls, doc: dict, name: str = "") -> "FiniteRing":
+        """Construction from a JSON document; nothing is coerced.  A badly
+        typed field raises a TypeError naming it, prefixed by the ring's name
+        when it has one (``target.add[3]``)."""
+        at = f"{name}." if name else ""
+        _json_field(doc, dict, name or "ring")
+
+        def table(key: str) -> tuple[tuple[int, ...], ...]:
+            rows = _json_field(doc[key], list, at + key)
+            return tuple(
+                tuple(_json_field(row, list, f"{at}{key}[{i}]", int)) for i, row in enumerate(rows)
+            )
+
         return cls(
-            tuple(str(e) for e in doc["elements"]),
-            tuple(tuple(int(v) for v in row) for row in doc["add"]),
-            tuple(tuple(int(v) for v in row) for row in doc["mul"]),
-            int(doc["zero"]),
-            int(doc["one"]),
+            tuple(_json_field(doc["elements"], list, at + "elements", str)),
+            table("add"),
+            table("mul"),
+            _json_field(doc["zero"], int, at + "zero"),
+            _json_field(doc["one"], int, at + "one"),
             name=name,
         )
 

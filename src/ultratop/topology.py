@@ -176,9 +176,9 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FinSpace":
-        """Validated construction from a JSON document; a string is never
-        read as a list of labels."""
-        carrier = _json_field(doc["carrier"], list, "carrier")
+        """Validated construction from a JSON document; carrier labels are
+        strings, and a string is never read as a list of labels."""
+        carrier = _json_field(doc["carrier"], list, "carrier", str)
         closed = _json_field(doc["closed"], list, "closed")
         for i, c in enumerate(closed):
             _json_field(c, list, f"closed[{i}]")

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultratop import gf, zmod
+from ultratop import UltratopError, gf, zmod
+from ultratop import cli
 from ultratop.cli import main
 
 
@@ -11,6 +17,22 @@ FAMILY_DOC = {
     "members": [{"name": "F0", "set": ["a", "b"]}],
 }
 SIERPINSKI_DOC = {"carrier": ["o", "s"], "closed": [[], ["s"], ["o", "s"]]}
+Z2_DOC = {"elements": ["0", "1"], "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
+EMBEDDING_DOC = {"source": Z2_DOC, "target": gf(4).to_json(), "map": [0, 1]}
+
+# one valid input per verb: a document, or the arguments of a verb without one
+VALID = {
+    "ultra-topology": FAMILY_DOC,
+    "closure": {"family": FAMILY_DOC, "set": ["a"]},
+    "atoms": FAMILY_DOC,
+    "check-spectral": SIERPINSKI_DOC,
+    "patch": SIERPINSKI_DOC,
+    "spec": Z2_DOC,
+    "overrings": EMBEDDING_DOC,
+    "specz-closure": ["--primes", "2,3"],
+    "specz-fip": {"sets": [{"v_of": 6}, {"d_of": 10}, {"primes": [3], "mode": "finite"}]},
+}
+DOT_VERBS = {"spec", "overrings"}
 
 
 def run(capsys, argv, stdin_doc=None, monkeypatch=None):
@@ -86,6 +108,8 @@ class TestExitCodes:
         "members": ("ultra-topology", "atoms"),
         "family": ("closure",),
         "sets": ("specz-fip",),
+        "elements": ("spec",),
+        "map": ("overrings",),
     }
 
     @pytest.mark.parametrize(
@@ -113,6 +137,23 @@ class TestExitCodes:
             ({"sets": [{"v_of": "12"}]}, "sets[0].v_of"),
             ({"sets": [{"v_of": 12.7}]}, "sets[0].v_of"),
             ({"sets": [{"v_of": 6}, {"d_of": True}]}, "sets[1].d_of"),
+            ({"carrier": [2, 10], "closed": [[], [2], [2, 10]]}, "carrier[0]"),
+            ({"carrier": [1, "a"], "closed": [[], [1, "a"]]}, "carrier[0]"),
+            ({"carrier": ["a", 2], "members": [{"name": "F0", "set": ["a"]}]}, "carrier[1]"),
+            ({"family": FAMILY_DOC, "set": ["a", 1]}, "set[1]"),
+            ({**Z2_DOC, "elements": "01"}, "elements"),
+            ({**Z2_DOC, "elements": [0, 1]}, "elements[0]"),
+            ({**Z2_DOC, "add": ["01", "10"]}, "add[0]"),
+            ({**Z2_DOC, "mul": [[0, 0], [0, 1.0]]}, "mul[1][1]"),
+            ({**Z2_DOC, "zero": 0.7}, "zero"),
+            ({**Z2_DOC, "one": True}, "one"),
+            ({**EMBEDDING_DOC, "map": "01"}, "map"),
+            ({**EMBEDDING_DOC, "map": [0, 1.0]}, "map[1]"),
+            ({**EMBEDDING_DOC, "source": {**Z2_DOC, "zero": False}}, "source.zero"),
+            ({**EMBEDDING_DOC, "target": {**Z2_DOC, "add": [[0, 1], [1, "0"]]}}, "target.add[1][1]"),
+            ({"sets": [{"v_of": 6, "d_of": 5}]}, "sets[0]"),
+            ({"sets": [{"d_of": 6}, {"d_of": 5, "primes": [2], "mode": "finite"}]}, "sets[1]"),
+            ({"sets": [{"v_of": 6, "mode": "finite"}]}, "sets[0]"),
         ],
     )
     def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
@@ -128,6 +169,94 @@ class TestExitCodes:
         )
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("verb", list(cli._VERBS))
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_format_follows_the_verb_table(self, tmp_path, capsys, verb, fmt):
+        valid = VALID[verb]
+        if isinstance(valid, dict):
+            code, out, err = run_file(tmp_path, capsys, verb, valid, extra=["--format", fmt])
+        else:
+            code, out, err = run(capsys, [verb, *valid, "--format", fmt])
+        if fmt == "json" or verb in DOT_VERBS:
+            assert (code, err) == (0, "")
+            assert out.startswith("{" if fmt == "json" else "// ultratop schema v1\n")
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: {verb} supports only --format json\n"
+
+    def test_spec_with_zmod_and_document_is_one(self, tmp_path, capsys):
+        code, out, err = run_file(tmp_path, capsys, "spec", Z2_DOC, extra=["--zmod", "6"])
+        assert (code, out) == (1, "")
+        assert "not both" in err
+
+    def test_internal_error_is_three(self, capsys, monkeypatch):
+        def broken(ring):
+            raise UltratopError("internal: a prime ideal is not maximal")
+
+        monkeypatch.setattr(cli, "spec_space", broken)
+        assert main(["spec", "--zmod", "6"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "internal error: internal: a prime ideal is not maximal\n"
+
+    def test_unchecked_ring_laws_end_in_one_line(self, tmp_path, capsys):
+        # tables above rings.MAX_LAW_CHECK elements skip the associativity check
+        doc = zmod(33).to_json()
+        doc["mul"][2][2] = 1
+        code, out, err = run_file(tmp_path, capsys, "spec", doc)
+        assert (code, out) in ((2, ""), (3, ""))
+        assert len(err.splitlines()) == 1
+
+
+def _slots(value):
+    """Every (container, key) pair inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-1, 3) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document of some verb with one key dropped or one value replaced."""
+    verb = draw(st.sampled_from(sorted(v for v, doc in VALID.items() if isinstance(doc, dict))))
+    doc = copy.deepcopy(VALID[verb])
+    container, key = draw(st.sampled_from(list(_slots(doc))))
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(JSON_VALUES)
+    return verb, doc
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated_documents())
+    def test_mutated_documents_fail_cleanly(self, case):
+        verb, doc = case
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(json.dumps(doc))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([verb, "-"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == (code != 0)
 
 
 class TestVerbs:
