@@ -18,7 +18,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from typing import Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -202,15 +201,16 @@ class SetFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SetFamily":
-        """Construction from a JSON document; carrier labels are strings, and
-        a string is never read as a list of labels."""
+        """Construction from a JSON document; carrier labels and member names
+        are strings, and a string is never read as a list of labels."""
         try:
             labels = doc["carrier"]
-            members = [(str(m["name"]), m["set"]) for m in doc["members"]]
+            members = [(m["name"], m["set"]) for m in doc["members"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed family document: {exc}") from exc
         _json_field(labels, list, "carrier", str)
-        for i, (_, s) in enumerate(members):
+        for i, (name, s) in enumerate(members):
+            _json_field(name, str, f"members[{i}].name")
             _json_field(s, list, f"members[{i}].set")
         try:  # member labels that cannot be hashed
             members = [(n, frozenset(s)) for n, s in members]
@@ -393,6 +393,13 @@ def extend_ultrafilter(
     return PrincipalUltrafilter(z, ultra.point)
 
 
+# Most intersections (ANDs of two masks) the FIP witness search may compute
+# before it gives up with a DomainError.  With k sets the worst case, where
+# only the whole list has an empty intersection, costs 2**(k + 1) - 2 of
+# them, so every list of up to 21 sets is decided.
+MAX_FIP_MEETS = 1 << 22
+
+
 @dataclass(frozen=True)
 class FipResult(Generic[_T]):
     """Outcome of a finite intersection property check.
@@ -406,19 +413,41 @@ class FipResult(Generic[_T]):
     witness: tuple[int, ...] | None = None
 
 
-def _fip_search(
-    sets: Sequence[_T], meet: Callable[[_T, _T], _T], is_empty: Callable[[_T], bool]
-) -> FipResult[_T]:
-    """The finite intersection property of a nonempty list, for any
-    associative meet and emptiness test; the witness search behind
-    ``fip_check`` and ``z_fip_check``."""
-    total = reduce(meet, sets)
-    if not is_empty(total):
-        return FipResult(True, intersection=total)
-    for size in range(1, len(sets) + 1):
-        for combo in combinations(range(len(sets)), size):
-            if is_empty(reduce(meet, (sets[i] for i in combo))):
-                return FipResult(False, witness=combo)
+def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
+    """The first smallest tuple of indices, in index order within each size,
+    whose masks AND to 0; ``None`` when the AND of all of them is nonzero.
+
+    The witness search behind ``fip_check`` and ``z_fip_check``.  For each
+    size it walks the combinations depth first in lexicographic order,
+    carrying the AND of each prefix down, so every node costs one AND.
+    """
+    if reduce(operator.and_, masks):
+        return None
+    k = len(masks)
+    meets = k
+
+    def first_empty(start: int, need: int, prefix: int) -> tuple[int, ...] | None:
+        nonlocal meets
+        for i in range(start, k - need + 1):
+            meets += 1
+            if meets > MAX_FIP_MEETS:
+                raise DomainError(
+                    f"the FIP witness search is capped at {MAX_FIP_MEETS} intersections"
+                )
+            meet = prefix & masks[i]
+            if need == 1:
+                if not meet:
+                    return (i,)
+            else:
+                found = first_empty(i + 1, need - 1, meet)
+                if found is not None:
+                    return (i, *found)
+        return None
+
+    for size in range(1, k + 1):
+        found = first_empty(0, size, -1)
+        if found is not None:
+            return found
     raise UltratopError("unreachable: empty total intersection without a witness")
 
 
@@ -428,9 +457,14 @@ def fip_check(sets: Sequence[Iterable[str]]) -> FipResult[frozenset[str]]:
     On success the total intersection is returned; it is nonempty because the
     whole list is itself a finite subfamily.  On failure the witness is the
     first minimal-cardinality subfamily with empty intersection, scanning
-    subfamilies in index order within each size.
+    subfamilies in index order within each size.  Each element is one bit of
+    a mask over the union of the sets.
     """
     frozen = [frozenset(s) for s in sets]
     if not frozen:
         raise DomainError("fip_check needs a nonempty list of sets")
-    return _fip_search(frozen, operator.and_, operator.not_)
+    bit = {x: 1 << i for i, x in enumerate(frozenset().union(*frozen))}
+    witness = _fip_search([sum(map(bit.__getitem__, s)) for s in frozen])
+    if witness is None:
+        return FipResult(True, intersection=frozenset.intersection(*frozen))
+    return FipResult(False, witness=witness)

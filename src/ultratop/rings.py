@@ -74,24 +74,30 @@ class FiniteRing:
 
     @classmethod
     def from_json(cls, doc: dict, name: str = "") -> "FiniteRing":
-        """Construction from a JSON document; nothing is coerced.  A badly
-        typed field raises a TypeError naming it, prefixed by the ring's name
-        when it has one (``target.add[3]``)."""
+        """Construction from a JSON document; nothing is coerced.  A missing
+        key raises a KeyError and a badly typed field a TypeError, each naming
+        the field, prefixed by the ring's name when it has one
+        (``source.elements``, ``target.add[3]``)."""
         at = f"{name}." if name else ""
         _json_field(doc, dict, name or "ring")
 
+        def field(key: str, kind: type, item: type | None = None):
+            if key not in doc:
+                raise KeyError(at + key)
+            return _json_field(doc[key], kind, at + key, item)
+
         def table(key: str) -> tuple[tuple[int, ...], ...]:
-            rows = _json_field(doc[key], list, at + key)
             return tuple(
-                tuple(_json_field(row, list, f"{at}{key}[{i}]", int)) for i, row in enumerate(rows)
+                tuple(_json_field(row, list, f"{at}{key}[{i}]", int))
+                for i, row in enumerate(field(key, list))
             )
 
         return cls(
-            tuple(_json_field(doc["elements"], list, at + "elements", str)),
+            tuple(field("elements", list, str)),
             table("add"),
             table("mul"),
-            _json_field(doc["zero"], int, at + "zero"),
-            _json_field(doc["one"], int, at + "one"),
+            field("zero", int),
+            field("one", int),
             name=name,
         )
 

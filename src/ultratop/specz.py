@@ -18,10 +18,11 @@ the infinite phenomena this model deliberately leaves out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
-from .core import DomainError, FipResult, UltratopError, _fip_search, _json_field
+from .core import DomainError, FipResult, _fip_search, _json_field
 
 FACTOR_CAP = 10**12
 
@@ -59,11 +60,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _trial_divisors() -> Iterator[int]:
+    """2, 3 and then every 6j - 1 and 6j + 1: every prime and some composites."""
+    yield 2
+    yield 3
+    for d in count(5, 6):
+        yield d
+        yield d + 2
+
+
 def prime_factors(n: int) -> frozenset[int]:
     """Distinct prime divisors of |n|; n must be nonzero with |n| <= 10^12.
 
-    Trial division up to 10^6 leaves a cofactor that is either 1 or prime,
-    because a composite below 10^12 has a divisor below 10^6.
+    Trial division stops as soon as the cofactor is 1 or prime: primality
+    is tested before the first division and after each factor is divided
+    out, so a prime near 10^12 costs one Miller-Rabin test.
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")
@@ -71,22 +82,15 @@ def prime_factors(n: int) -> frozenset[int]:
     if n > FACTOR_CAP:
         raise DomainError(f"factorization inputs are capped at {FACTOR_CAP}")
     out = set()
-    for p in (2, 3):
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-    d = 5
-    while d * d <= n:
-        for q in (d, d + 2):
-            if n % q == 0:
-                out.add(q)
-                while n % q == 0:
-                    n //= q
-        d += 6
+    divisors = _trial_divisors()
+    while n > 1 and not is_prime(n):
+        # a composite has a divisor up to its square root, below 10^6 here;
+        # the first one left is prime, as its own factors are divided out
+        q = next(d for d in divisors if n % d == 0)
+        out.add(q)
+        while n % q == 0:
+            n //= q
     if n > 1:
-        if not is_prime(n):
-            raise UltratopError("internal: cofactor after trial division is composite")
         out.add(n)
     return frozenset(out)
 
@@ -330,11 +334,20 @@ ZFipResult = FipResult
 def z_fip_check(sets: Sequence[ZConstructible]) -> FipResult[ZConstructible]:
     """Decide the finite intersection property for constructible sets.
 
-    Intersections are computed exactly in normal form, so the verdict is
-    symbolic: a cofinite intersection is nonempty no matter how many primes
-    were excluded.  On failure the witness is the first minimal-cardinality
-    subfamily with empty intersection, in index order within each size.
+    Each listed prime is one bit; a finite set is the mask of its primes and
+    a cofinite set the complement ``~mask``, a negative integer whose
+    infinitely many high bits stand for every other prime and the generic
+    point.  Any mix of sets then meets by AND and is empty exactly when it is
+    0, so the verdict is symbolic: a cofinite intersection is nonempty no
+    matter how many primes were excluded.  On failure the witness is the
+    first minimal-cardinality subfamily with empty intersection, in index
+    order within each size.
     """
     if not sets:
         raise DomainError("z_fip_check needs a nonempty list of sets")
-    return _fip_search(sets, ZConstructible.intersect, attrgetter("is_empty"))
+    bit = {p: 1 << i for i, p in enumerate(frozenset().union(*(c.primes for c in sets)))}
+    masks = [sum(map(bit.__getitem__, c.primes)) for c in sets]
+    witness = _fip_search([~m if c.cofinite else m for c, m in zip(sets, masks)])
+    if witness is None:
+        return FipResult(True, intersection=reduce(ZConstructible.intersect, sets))
+    return FipResult(False, witness=witness)

@@ -154,6 +154,13 @@ class TestExitCodes:
             ({"sets": [{"v_of": 6, "d_of": 5}]}, "sets[0]"),
             ({"sets": [{"d_of": 6}, {"d_of": 5, "primes": [2], "mode": "finite"}]}, "sets[1]"),
             ({"sets": [{"v_of": 6, "mode": "finite"}]}, "sets[0]"),
+            ({"carrier": ["a"], "members": [{"name": 5, "set": ["a"]}]}, "members[0].name"),
+            (
+                {"carrier": ["a", "b"], "members": [
+                    {"name": "F0", "set": ["a"]}, {"name": ["x", 1], "set": ["b"]}
+                ]},
+                "members[1].name",
+            ),
         ],
     )
     def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
@@ -162,6 +169,21 @@ class TestExitCodes:
             code, out, err = run_file(tmp_path, capsys, verb, doc)
             assert (code, out) == (1, "")
             assert path in err
+
+    @pytest.mark.parametrize("ring, key", [("source", "elements"), ("target", "one")])
+    def test_missing_ring_key_names_the_ring(self, tmp_path, capsys, ring, key):
+        doc = {**EMBEDDING_DOC, ring: {k: v for k, v in EMBEDDING_DOC[ring].items() if k != key}}
+        code, out, err = run_file(tmp_path, capsys, "overrings", doc)
+        assert (code, out) == (1, "")
+        assert f"{ring}.{key}" in err
+
+    def test_fip_search_past_its_bound_is_two(self, tmp_path, capsys):
+        # only the whole list of 22 sets is empty: the worst case, 2**23 - 2 ANDs
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
+        doc = {"sets": [{"d_of": p} for p in primes] + [{"primes": primes, "mode": "finite"}]}
+        code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)
+        assert (code, out) == (2, "")
+        assert err == "domain error: the FIP witness search is capped at 4194304 intersections\n"
 
     def test_dot_unsupported_is_one(self, tmp_path, capsys):
         code, _, err = run_file(

@@ -20,6 +20,7 @@ from ultratop import (
     stable_closure,
     is_stable,
 )
+from ultratop import core
 from conftest import brute_force_stable_masks, random_family
 
 
@@ -415,3 +416,14 @@ class TestFip:
     def test_rejects_empty_input(self):
         with pytest.raises(DomainError):
             fip_check([])
+
+    def test_search_is_bounded(self, monkeypatch):
+        # only the whole list of 8 sets is empty: the worst case, 2**9 - 2 ANDs
+        sets = [set(range(8)) - {i} for i in range(8)]
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 2**9 - 2)
+        assert fip_check(sets).witness == tuple(range(8))
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 2**9 - 3)
+        with pytest.raises(DomainError, match=f"capped at {2**9 - 3} intersections"):
+            fip_check(sets)
+        # a nonempty total intersection needs no search
+        assert fip_check([{0}] * 40).has_fip

@@ -6,14 +6,18 @@ functions below are the earlier algorithms those replaced: they scan the
 whole closed-set lattice or rescan all pairs until nothing changes.  They
 are slow but follow the definitions, so they serve as reference oracles on
 seeded random inputs.  The same holds for the finite intersection property
-(every subfamily is tried) and for the Spec(Z) intersection (the
-complement of the union of the complements).
+(every subfamily is tried, and the earlier witness search that meets the
+sets of each combination afresh), for the Spec(Z) intersection (the
+complement of the union of the complements) and for factoring (plain trial
+division).
 """
 
 import ast
 import operator
 import random
 import re
+from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,7 @@ from ultratop import (
     Carrier,
     DomainError,
     FinSpace,
+    FipResult,
     PrincipalUltrafilter,
     RingEmbedding,
     SetFamily,
@@ -39,6 +44,7 @@ from ultratop import (
     is_stable,
     limit_set,
     patch_topology,
+    prime_factors,
     product,
     stable_closure,
     subring_closure,
@@ -442,3 +448,95 @@ constructibles = st.builds(
 @settings(max_examples=300, deadline=None)
 def test_intersect_is_the_complement_of_the_union_of_complements(a, b):
     assert a.intersect(b) == a.complement().union(b.complement()).complement()
+
+
+def combinations_fip_search(sets, meet, is_empty):
+    """The finite intersection property by meeting the sets of each index
+    combination afresh, smallest combinations first."""
+    total = reduce(meet, sets)
+    if not is_empty(total):
+        return FipResult(True, intersection=total)
+    for size in range(1, len(sets) + 1):
+        for combo in combinations(range(len(sets)), size):
+            if is_empty(reduce(meet, (sets[i] for i in combo))):
+                return FipResult(False, witness=combo)
+
+
+def random_list(rng, draw):
+    """Up to 10 sets from ``draw``, some of them repeats of earlier ones."""
+    sets = []
+    for _ in range(rng.randint(1, 10)):
+        sets.append(rng.choice(sets) if sets and rng.random() < 0.15 else draw())
+    return sets
+
+
+def test_fip_check_matches_the_combination_search():
+    rng = random.Random(2031)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        shapes = (
+            lambda: frozenset(x for x in range(n) if rng.random() < 0.7),
+            lambda: frozenset(),
+            lambda: frozenset(range(n)),
+        )
+        sets = random_list(rng, lambda: rng.choices(shapes, (12, 1, 1))[0]())
+        assert fip_check(sets) == combinations_fip_search(sets, operator.and_, operator.not_)
+
+
+# the largest primes below 10^6 and 10^12
+LARGE_PRIMES = (999979, 999983, 999999999959, 999999999961, 999999999989)
+
+
+def test_z_fip_check_matches_the_combination_search():
+    rng = random.Random(2032)
+    pool = Z_PRIMES + LARGE_PRIMES
+    for _ in range(600):
+        all_cofinite = rng.random() < 0.2
+        shapes = (
+            lambda: ZConstructible(
+                frozenset(p for p in pool if rng.random() < 0.3),
+                all_cofinite or rng.random() < 0.5,
+            ),
+            ZConstructible.empty,
+            ZConstructible.whole,
+        )
+        weights = (1, 0, 0) if all_cofinite else (12, 1, 1)
+        sets = random_list(rng, lambda: rng.choices(shapes, weights)[0]())
+        expected = combinations_fip_search(
+            sets, ZConstructible.intersect, operator.attrgetter("is_empty")
+        )
+        assert z_fip_check(sets) == expected
+
+
+def trial_division_factors(n):
+    n, d, out = abs(n), 2, set()
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return frozenset(out | ({n} if n > 1 else set()))
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(2033)
+    for n in [rng.randint(-10**7, 10**7) or 1 for _ in range(500)] + list(range(-40, 0)):
+        assert prime_factors(n) == trial_division_factors(n)
+
+
+@pytest.mark.parametrize(
+    "n, primes",
+    [
+        (999999999989, {999999999989}),
+        (-999999999989, {999999999989}),
+        (999983 * 999979, {999983, 999979}),
+        (999983**2, {999983}),
+        (2 * 499999999979, {2, 499999999979}),
+        (1, set()),
+        (-1, set()),
+        (-360, {2, 3, 5}),
+        (2**39, {2}),
+    ],
+)
+def test_prime_factors_fixed_cases(n, primes):
+    assert prime_factors(n) == primes == trial_division_factors(n)
