@@ -25,7 +25,8 @@ from dataclasses import replace
 from typing import Callable
 
 from .core import (
-    DomainError, SetFamily, UltratopError, _json_field, atoms, is_stable, stable_closure,
+    DomainError, SetFamily, UltratopError, _MalformedDocument, _json_field, _json_key, atoms,
+    is_stable, stable_closure,
 )
 from .rings import (
     FiniteRing, RingEmbedding, _spectrum, intermediate_rings, overring_space, spec_space, zmod,
@@ -76,8 +77,8 @@ def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
 
 
 def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
-    family = SetFamily.from_json(doc["family"])
-    subset = frozenset(_json_field(doc["set"], list, "set", str))
+    family = SetFamily.from_json(_json_key(doc, "family", dict))
+    subset = frozenset(_json_key(doc, "set", list, item=str))
     return {
         "set": sorted(subset),
         "closure": sorted(stable_closure(family, subset)),
@@ -124,9 +125,9 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
 
 
 def _cmd_overrings(args: argparse.Namespace, doc: dict) -> _Body:
-    source = FiniteRing.from_json(doc["source"], name="source")
-    target = FiniteRing.from_json(doc["target"], name="target")
-    emb = RingEmbedding(source, target, tuple(_json_field(doc["map"], list, "map", int)))
+    source = FiniteRing.from_json(_json_key(doc, "source", dict), name="source")
+    target = FiniteRing.from_json(_json_key(doc, "target", dict), name="target")
+    emb = RingEmbedding(source, target, tuple(_json_key(doc, "map", list, item=int)))
     space = overring_space(emb)
     if args.format == "dot":
         return hasse_dot(specialization_order(space), name="overrings")
@@ -163,8 +164,8 @@ def _cmd_specz_closure(args: argparse.Namespace, doc: None) -> _Body:
 
 def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
     """One entry of ``sets``: ``v_of``, ``d_of`` or an inline subset, never
-    two of them.  A badly typed field raises a TypeError whose message starts
-    with the field's path in the document."""
+    two of them.  A missing key raises a KeyError, and a badly typed field a
+    TypeError, whose message starts with the field's path in the document."""
     _json_field(entry, dict, path)
     given = [key for key in ("v_of", "d_of", "primes", "mode") if key in entry]
     if len(given) > 1 and given != ["primes", "mode"]:
@@ -172,14 +173,14 @@ def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
     try:
         for key, locus in (("v_of", v_of), ("d_of", d_of)):
             if key in entry:
-                return locus(_json_field(entry[key], int, key))
+                return locus(_json_key(entry, key, int))
         return ZConstructible.from_json(entry)
-    except TypeError as e:
-        raise TypeError(f"{path}.{e}") from None
+    except (KeyError, TypeError) as e:
+        raise type(e)(f"{path}.{e.args[0]}") from None
 
 
 def _cmd_specz_fip(args: argparse.Namespace, doc: dict) -> _Body:
-    entries = _json_field(doc["sets"], list, "sets")
+    entries = _json_key(doc, "sets", list)
     sets = [_constructible_from_entry(e, f"sets[{i}]") for i, e in enumerate(entries)]
     result = z_fip_check(sets)
     return {
@@ -236,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"{args.verb} supports only --format json")
         path = getattr(args, "input", None)
         body = handler(args, None if path is None else _read_doc(path))
-    except InputError as e:
+    except (InputError, _MalformedDocument) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DomainError as e:

@@ -31,6 +31,10 @@ class DomainError(UltratopError):
     """An argument lies outside the domain of the requested operation."""
 
 
+class _MalformedDocument(DomainError):
+    """A document of the wrong shape; the CLI reports it as malformed input."""
+
+
 _JSON_KINDS = {
     list: "a list", str: "a string", bool: "a boolean", int: "an integer", dict: "an object"
 }
@@ -50,6 +54,14 @@ def _json_field(value: _T, kind: type, path: str, item: type | None = None) -> _
         for i, v in enumerate(value):
             _json_field(v, item, f"{path}[{i}]")
     return value
+
+
+def _json_key(doc: dict, key: str, kind: type, at: str = "", item: type | None = None):
+    """The field ``key`` of a JSON object, checked as ``_json_field`` does;
+    a missing key raises a KeyError naming its path, ``at + key``."""
+    if key not in doc:
+        raise KeyError(at + key)
+    return _json_field(doc[key], kind, at + key, item)
 
 
 def _set_label(labels: Iterable[str]) -> str:
@@ -202,20 +214,18 @@ class SetFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "SetFamily":
         """Construction from a JSON document; carrier labels and member names
-        are strings, and a string is never read as a list of labels."""
+        are strings, and a string is never read as a list of labels.  A missing
+        key or a field of another JSON type raises a DomainError naming its path."""
         try:
-            labels = doc["carrier"]
-            members = [(m["name"], m["set"]) for m in doc["members"]]
+            labels = _json_key(doc, "carrier", list, item=str)
+            members = []
+            for i, m in enumerate(_json_key(doc, "members", list)):
+                at = f"members[{i}]"
+                _json_field(m, dict, at)
+                name = _json_key(m, "name", str, at + ".")
+                members.append((name, frozenset(_json_key(m, "set", list, at + "."))))
         except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed family document: {exc}") from exc
-        _json_field(labels, list, "carrier", str)
-        for i, (name, s) in enumerate(members):
-            _json_field(name, str, f"members[{i}].name")
-            _json_field(s, list, f"members[{i}].set")
-        try:  # member labels that cannot be hashed
-            members = [(n, frozenset(s)) for n, s in members]
-        except TypeError as exc:
-            raise DomainError(f"malformed family document: {exc}") from exc
+            raise _MalformedDocument(f"malformed family document: {exc}") from exc
         return cls(Carrier.of(labels), tuple(members))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .core import Carrier, DomainError, PrincipalUltrafilter, SetFamily, UltratopError
-from .core import _join_closure, _json_field
+from .core import _join_closure, _json_field, _json_key
 from .topology import FinSpace, from_subbasis
 
 MAX_RING = 64
@@ -81,23 +81,18 @@ class FiniteRing:
         at = f"{name}." if name else ""
         _json_field(doc, dict, name or "ring")
 
-        def field(key: str, kind: type, item: type | None = None):
-            if key not in doc:
-                raise KeyError(at + key)
-            return _json_field(doc[key], kind, at + key, item)
-
         def table(key: str) -> tuple[tuple[int, ...], ...]:
             return tuple(
                 tuple(_json_field(row, list, f"{at}{key}[{i}]", int))
-                for i, row in enumerate(field(key, list))
+                for i, row in enumerate(_json_key(doc, key, list, at))
             )
 
         return cls(
-            tuple(field("elements", list, str)),
+            tuple(_json_key(doc, "elements", list, at, str)),
             table("add"),
             table("mul"),
-            field("zero", int),
-            field("one", int),
+            _json_key(doc, "zero", int, at),
+            _json_key(doc, "one", int, at),
             name=name,
         )
 

@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .core import DomainError, FipResult, _fip_search, _json_field
+from .core import DomainError, FipResult, _fip_search, _json_field, _json_key
 
 FACTOR_CAP = 10**12
 
@@ -199,15 +199,15 @@ class ZSubsetDescriptor:
     def from_json(cls, doc: dict) -> "ZSubsetDescriptor":
         """Validated construction from a JSON document: ``mode`` a string,
         ``primes`` a list of integers, ``generic`` a boolean (the field's
-        default if absent).  A field of another JSON type raises a TypeError
-        that names it."""
-        mode = _json_field(doc["mode"], str, "mode")
+        default if absent).  A missing ``mode`` or ``primes`` raises a
+        KeyError, and a field of another JSON type a TypeError, naming it."""
+        mode = _json_key(doc, "mode", str)
         if mode not in ("finite", "cofinite"):
             raise DomainError(f"unknown mode {mode!r}")
         generic = doc.get("generic", cls.generic)
         if "generic" in doc:
             _json_field(generic, bool, "generic")
-        primes = _json_field(doc["primes"], list, "primes")
+        primes = _json_key(doc, "primes", list)
         return cls(
             frozenset(_json_field(p, int, f"primes[{i}]") for i, p in enumerate(primes)),
             mode == "cofinite",

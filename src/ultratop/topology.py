@@ -1,12 +1,12 @@
 """Finite topological spaces, specialization posets, and patch refinements.
 
-Spaces are given by their closed sets, as bitmasks over a carrier, but every
-query is answered from the n point closures: a finite space is the preorder
-of its point closures (y lies below x when y is in the closure of x), its
-closed sets are exactly the unions of point closures, and its smallest open
-around a point is the up-set of that point.  So validation, the spectral
-check, the patch, continuity and the subbasis construction all cost
-polynomial time in the number of points once the closed sets are read.
+A space is stored as its n point closures, as bitmasks over a carrier: a
+finite space is the preorder of its point closures (y lies below x when y is
+in the closure of x), its closed sets are exactly the unions of point
+closures, and its smallest open around a point is the up-set of that point.
+So every construction and query costs polynomial time in the number of
+points.  The closed sets are an output format, listed only when asked for
+and only up to ``MAX_CLOSED_SETS`` of them.
 
 A space built with the plain constructor is trusted to satisfy the topology
 axioms (internal constructions are correct by construction);
@@ -17,15 +17,19 @@ exact.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    Carrier, DomainError, SetFamily, UltratopError, _join_closure, _json_field, _union_at
+    Carrier, DomainError, SetFamily, UltratopError, _json_field, _json_key, _union_at
 )
+
+# Most closed sets a space may list.  A space of n points has up to 2**n of
+# them (the discrete one), so the sweep that lists them stops with a
+# DomainError once it passes this many.
+MAX_CLOSED_SETS = 1 << 16
 
 
 class NotT0Error(DomainError):
@@ -59,16 +63,24 @@ def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FinSpace:
-    """A finite topological space given by the bitmasks of its closed sets."""
+    """A finite topological space, stored as the closure of each point; the
+    plain constructor keeps the closed-set masks it is given for ``validate``."""
 
     carrier: Carrier
-    closed_masks: frozenset[int]
+    point_closures: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        full = self.carrier.full_mask
-        for m in self.closed_masks:
-            if m & ~full:
-                raise DomainError("closed set reaches outside the carrier")
+    def __init__(self, carrier: Carrier, closed_masks: frozenset[int]) -> None:
+        if any(m & ~carrier.full_mask for m in closed_masks):
+            raise DomainError("closed set reaches outside the carrier")
+        closures = tuple(_meets_at_points(carrier, closed_masks))
+        self.__dict__.update(carrier=carrier, point_closures=closures, closed_masks=closed_masks)
+
+    @classmethod
+    def _of_closures(cls, carrier: Carrier, closures: Iterable[int]) -> "FinSpace":
+        """The space with the given closure at each point, trusted to be a preorder."""
+        space = cls.__new__(cls)
+        space.__dict__.update(carrier=carrier, point_closures=tuple(closures))
+        return space
 
     @classmethod
     def from_closed(
@@ -122,6 +134,17 @@ class FinSpace:
         )
 
     @cached_property
+    def closed_masks(self) -> frozenset[int]:
+        """The closed sets, as the unions of point closures (the empty union
+        included); a DomainError once more than ``MAX_CLOSED_SETS`` appear."""
+        out = {0}
+        for cl in set(self.point_closures):
+            out |= {o | cl for o in out}
+            if len(out) > MAX_CLOSED_SETS:
+                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
+        return frozenset(out)
+
+    @cached_property
     def open_masks(self) -> frozenset[int]:
         full = self.carrier.full_mask
         return frozenset((~m) & full for m in self.closed_masks)
@@ -134,10 +157,10 @@ class FinSpace:
         return tuple(frozenset(t) for _, t in keyed)
 
     def is_closed(self, subset: Iterable[str]) -> bool:
-        return self.carrier.mask_of(subset) in self.closed_masks
+        return self.closure_mask(m := self.carrier.mask_of(subset)) == m
 
     def is_open(self, subset: Iterable[str]) -> bool:
-        return self.carrier.mask_of(subset) in self.open_masks
+        return _union_at(self._minimal_opens, m := self.carrier.mask_of(subset)) == m
 
     def closure_mask(self, mask: int) -> int:
         return _union_at(self.point_closures, mask)
@@ -145,11 +168,6 @@ class FinSpace:
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest closed superset: the union of the point closures."""
         return self.carrier.labels_of(self.closure_mask(self.carrier.mask_of(subset)))
-
-    @cached_property
-    def point_closures(self) -> tuple[int, ...]:
-        """cl{i} for each point i: the meet of the closed sets containing i."""
-        return tuple(_meets_at_points(self.carrier, self.closed_masks))
 
     @cached_property
     def _minimal_opens(self) -> tuple[int, ...]:
@@ -178,16 +196,11 @@ class FinSpace:
     def from_json(cls, doc: dict) -> "FinSpace":
         """Validated construction from a JSON document; carrier labels are
         strings, and a string is never read as a list of labels."""
-        carrier = _json_field(doc["carrier"], list, "carrier", str)
-        closed = _json_field(doc["closed"], list, "closed")
+        carrier = _json_key(doc, "carrier", list, item=str)
+        closed = _json_key(doc, "closed", list)
         for i, c in enumerate(closed):
             _json_field(c, list, f"closed[{i}]")
         return cls.from_closed(carrier, [frozenset(c) for c in closed])
-
-
-def _space_of_closures(carrier: Carrier, closures: Iterable[int]) -> FinSpace:
-    """The space whose closed sets are the unions of the given point closures."""
-    return FinSpace(carrier, frozenset(_join_closure({0, *closures}, operator.or_)))
 
 
 def from_subbasis(subbasis: SetFamily) -> FinSpace:
@@ -197,7 +210,7 @@ def from_subbasis(subbasis: SetFamily) -> FinSpace:
     x lies in the closure of y exactly when y lies in that smallest open.
     """
     carrier = subbasis.carrier
-    return _space_of_closures(
+    return FinSpace._of_closures(
         carrier, _transpose(_meets_at_points(carrier, subbasis.masks))
     )
 
@@ -210,7 +223,7 @@ def ultra_topology(family: SetFamily) -> FinSpace:
     point's closure is its atom.  The test suite cross-checks this against
     brute-force stability enumeration.
     """
-    return _space_of_closures(family.carrier, family._point_atoms)
+    return FinSpace._of_closures(family.carrier, family._point_atoms)
 
 
 @dataclass(frozen=True)
@@ -285,17 +298,14 @@ class Poset:
         return self.carrier.labels_of(self._downs[self.carrier._index[x]])
 
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """(lower, upper) pairs with nothing strictly between, sorted."""
+        """(lower, upper) pairs with nothing strictly between, sorted: y covers
+        its strict down-set minus the strict down-sets of the points in it."""
+        points = self.carrier.points
+        strict = [d & ~(1 << i) for i, d in enumerate(self._downs)]
         out = []
-        for x, y in self.relation:
-            if x == y:
-                continue
-            if any(
-                z != x and z != y and self.leq(x, z) and self.leq(z, y)
-                for z in self.carrier.points
-            ):
-                continue
-            out.append((x, y))
+        for i, below in enumerate(strict):
+            lower = below & ~_union_at(strict, below)
+            out += ((points[j], points[i]) for j in range(len(points)) if (lower >> j) & 1)
         return tuple(sorted(out))
 
 
@@ -314,7 +324,7 @@ def specialization_order(space: FinSpace) -> Poset:
 def poset_to_space(poset: Poset) -> FinSpace:
     """Alexandrov space of the poset: closed sets are the down-closed sets,
     the unions of principal down-sets."""
-    return _space_of_closures(poset.carrier, poset._downs)
+    return FinSpace._of_closures(poset.carrier, poset._downs)
 
 
 def space_to_poset(space: FinSpace) -> Poset:
@@ -407,7 +417,7 @@ def patch_topology(space: FinSpace) -> FinSpace:
     blocks: dict[int, int] = {}
     for i, cl in enumerate(space.point_closures):
         blocks[cl] = blocks.get(cl, 0) | (1 << i)
-    return _space_of_closures(space.carrier, blocks.values())
+    return FinSpace._of_closures(space.carrier, (blocks[cl] for cl in space.point_closures))
 
 
 def generic_closure(space: FinSpace, subset: Iterable[str]) -> frozenset[str]:

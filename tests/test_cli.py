@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratop import UltratopError, gf, zmod
+from ultratop import UltratopError, gf, product, zmod
 from ultratop import cli
 from ultratop.cli import main
 
@@ -161,6 +161,8 @@ class TestExitCodes:
                 ]},
                 "members[1].name",
             ),
+            ({"carrier": ["a"], "members": "a"}, "members must be a list"),
+            ({"carrier": ["a"], "members": ["a"]}, "members[0] must be an object"),
         ],
     )
     def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
@@ -169,6 +171,28 @@ class TestExitCodes:
             code, out, err = run_file(tmp_path, capsys, verb, doc)
             assert (code, out) == (1, "")
             assert path in err
+
+    @pytest.mark.parametrize(
+        "verb, doc, path",
+        [
+            ("specz-fip", {"sets": [{"v_of": 6}, {"primes": [2]}]}, "sets[1].mode"),
+            ("specz-fip", {"sets": [{"v_of": 6}, {"mode": "finite"}]}, "sets[1].primes"),
+            ("specz-fip", {"sets": [{"v_of": 6}, {}]}, "sets[1].mode"),
+            ("specz-fip", {}, "sets"),
+            ("closure", {"family": FAMILY_DOC}, "set"),
+            ("atoms", {"carrier": ["a"]}, "members"),
+            ("ultra-topology", {"members": [{"name": "F0", "set": []}]}, "carrier"),
+            ("ultra-topology", {"carrier": ["a"], "members": [{"name": "F0"}]}, "members[0].set"),
+            ("closure", {"family": {"carrier": ["a"], "members": [{"set": []}]}, "set": []},
+             "members[0].name"),
+            ("patch", {"carrier": ["a"]}, "closed"),
+            ("overrings", {"source": Z2_DOC, "target": Z2_DOC}, "map"),
+        ],
+    )
+    def test_missing_key_is_named(self, tmp_path, capsys, verb, doc, path):
+        code, out, err = run_file(tmp_path, capsys, verb, doc)
+        assert (code, out) == (1, "")
+        assert path in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("ring, key", [("source", "elements"), ("target", "one")])
     def test_missing_ring_key_names_the_ring(self, tmp_path, capsys, ring, key):
@@ -184,6 +208,14 @@ class TestExitCodes:
         code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)
         assert (code, out) == (2, "")
         assert err == "domain error: the FIP witness search is capped at 4194304 intersections\n"
+
+    def test_closed_sets_past_their_bound_are_two(self, tmp_path, capsys):
+        # a 30-point chain has 31 closed sets, and its patch is discrete: 2**30
+        labels = [f"p{i:02d}" for i in range(30)]
+        doc = {"carrier": labels, "closed": [labels[:k] for k in range(31)]}
+        code, out, err = run_file(tmp_path, capsys, "patch", doc)
+        assert (code, out) == (2, "")
+        assert err == "domain error: listing closed sets is capped at 65536 sets\n"
 
     def test_dot_unsupported_is_one(self, tmp_path, capsys):
         code, _, err = run_file(
@@ -264,7 +296,7 @@ def mutated_documents(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=2000, derandomize=True, database=None)
     @given(mutated_documents())
     def test_mutated_documents_fail_cleanly(self, case):
         verb, doc = case
@@ -365,6 +397,18 @@ class TestVerbs:
         assert code == 0
         assert [r["size"] for r in body["rings"]] == [2, 4, 16]
         assert body["rings"][1]["members"] == ["0", "1", "6", "7"]
+        assert body["spectral"]["spectral"] is True
+
+    def test_overrings_into_a_fifth_power(self, tmp_path, capsys):
+        # Z/2 into (Z/2)^5: one intermediate ring per partition of 5 points
+        target = zmod(2)
+        for _ in range(4):
+            target = product(target, zmod(2))
+        doc = {"source": Z2_DOC, "target": target.to_json(), "map": [target.zero, target.one]}
+        code, out, err = run_file(tmp_path, capsys, "overrings", doc)
+        body = json.loads(out)
+        assert (code, err) == (0, "")
+        assert len(body["rings"]) == 52
         assert body["spectral"]["spectral"] is True
 
     def test_overrings_dot(self, tmp_path, capsys):

@@ -1,15 +1,16 @@
 """Differential tests against the lattice and pairwise-fixpoint algorithms.
 
-The library answers space queries from point closures, closes generator
-sets in one join sweep, and reads limit sets from one atom table.  The
-functions below are the earlier algorithms those replaced: they scan the
-whole closed-set lattice or rescan all pairs until nothing changes.  They
-are slow but follow the definitions, so they serve as reference oracles on
-seeded random inputs.  The same holds for the finite intersection property
-(every subfamily is tried, and the earlier witness search that meets the
-sets of each combination afresh), for the Spec(Z) intersection (the
-complement of the union of the complements) and for factoring (plain trial
-division).
+The library stores a space as its point closures and answers queries from
+them, closes generator sets in one join sweep, reads limit sets from one
+atom table, and finds covers by a transitive reduction on bitmasks.  The
+functions below are the earlier algorithms those replaced: they build or
+scan the whole closed-set lattice, rescan all pairs until nothing changes,
+or test every triple of labels.  They are slow but follow the definitions,
+so they serve as reference oracles on seeded random inputs.  The same holds
+for the finite intersection property (every subfamily is tried, and the
+earlier witness search that meets the sets of each combination afresh), for
+the Spec(Z) intersection (the complement of the union of the complements)
+and for factoring (plain trial division).
 """
 
 import ast
@@ -44,15 +45,19 @@ from ultratop import (
     is_stable,
     limit_set,
     patch_topology,
+    poset_to_space,
     prime_factors,
     product,
     stable_closure,
     subring_closure,
+    ultra_topology,
     z_fip_check,
     zmod,
 )
+from ultratop.core import _join_closure
 from conftest import random_family
 from test_rings import f2_into_f16, f4_into_f16
+from test_topology import random_poset
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +164,27 @@ def lattice_space_from_subbasis(carrier, masks):
     basis = fixpoint_closure(set(masks) | {full}, operator.and_)
     opens = fixpoint_closure(basis | {0}, operator.or_)
     return FinSpace(carrier, frozenset((~o) & full for o in opens))
+
+
+def space_of_closures(carrier, closures):
+    """The space whose closed sets are the unions of the given point closures,
+    all of them enumerated at construction."""
+    return FinSpace(carrier, frozenset(_join_closure({0, *closures}, operator.or_)))
+
+
+def label_triple_covers(poset):
+    """(lower, upper) pairs of the relation with no third point between."""
+    out = []
+    for x, y in poset.relation:
+        if x == y:
+            continue
+        if any(
+            z != x and z != y and poset.leq(x, z) and poset.leq(z, y)
+            for z in poset.carrier.points
+        ):
+            continue
+        out.append((x, y))
+    return tuple(sorted(out))
 
 
 def lattice_patch(space):
@@ -303,6 +329,37 @@ def test_spaces_from_subbases_match_the_lattice_algorithms():
         assert space.point_closures == tuple(
             lattice_closure(space, 1 << i) for i in range(len(space.carrier))
         )
+
+
+def test_closed_sets_match_the_enumerated_unions():
+    rng = random.Random(2034)
+    for _ in range(150):
+        family = random_family(rng, 8, 4)
+        subbasis = from_subbasis(family)
+        poset = random_poset(rng, 8)
+        for space in (
+            subbasis, ultra_topology(family), patch_topology(subbasis), poset_to_space(poset)
+        ):
+            oracle = space_of_closures(space.carrier, space.point_closures)
+            assert space == oracle
+            assert space.closed_masks == oracle.closed_masks
+            assert space.closed_sets() == oracle.closed_sets()
+            space.validate()
+            for _ in range(8):
+                labels = space.carrier.labels_of(rng.randrange(space.carrier.full_mask + 1))
+                assert space.is_closed(labels) == (
+                    space.carrier.mask_of(labels) in oracle.closed_masks
+                )
+                assert space.is_open(labels) == (
+                    space.carrier.mask_of(labels) in oracle.open_masks
+                )
+
+
+def test_covers_match_the_label_triple_scan():
+    rng = random.Random(2035)
+    for _ in range(200):
+        poset = random_poset(rng, 9)
+        assert poset.covers() == label_triple_covers(poset)
 
 
 def test_continuity_matches_preimages_of_closed_sets():

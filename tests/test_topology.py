@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultratop import topology
 from ultratop import (
     Carrier,
     DomainError,
@@ -115,6 +116,31 @@ class TestFinSpace:
         c = Carrier.of(["a"])
         with pytest.raises(DomainError):
             FinSpace(c, frozenset({0, 0b10}))
+
+    def test_queries_do_not_list_closed_sets(self):
+        # 64 singletons generate the discrete space: 2**64 closed sets
+        labels = [f"x{i:02d}" for i in range(64)]
+        space = from_subbasis(SetFamily.of(labels, [{x} for x in labels]))
+        assert is_spectral(space).spectral
+        patched = patch_topology(space)
+        assert patched == space
+        hasse_dot(specialization_order(space))
+        assert generic_closure(space, labels[:3]) == frozenset(labels[:3])
+        assert is_continuous({x: x for x in labels}, space, patched)
+        assert space.is_closed(labels[:5]) and space.is_open(labels[5:])
+        for sp in (space, patched):
+            assert "closed_masks" not in sp.__dict__
+
+    def test_listing_closed_sets_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_CLOSED_SETS", 8)
+
+        def chain(n):  # n + 1 closed sets
+            labels = [f"x{i}" for i in range(n)]
+            return poset_to_space(Poset.from_pairs(labels, zip(labels, labels[1:])))
+
+        assert len(chain(7).closed_sets()) == 8
+        with pytest.raises(DomainError, match="capped at 8 sets"):
+            chain(8).closed_sets()
 
 
 class TestSubbasis:
