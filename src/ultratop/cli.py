@@ -72,12 +72,11 @@ def _sorted_sets(sets) -> list[list[str]]:
 
 
 def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
-    space = ultra_topology(SetFamily.from_json(doc))
-    return {"carrier": list(space.carrier.points), "closed": _sorted_sets(space.closed_sets())}
+    return ultra_topology(SetFamily.from_json(doc)).to_json()
 
 
 def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
-    family = SetFamily.from_json(_json_key(doc, "family", dict))
+    family = SetFamily.from_json(_json_key(doc, "family", dict), "family.")
     subset = frozenset(_json_key(doc, "set", list, item=str))
     return {
         "set": sorted(subset),
@@ -102,8 +101,7 @@ def _cmd_check_spectral(args: argparse.Namespace, doc: dict) -> _Body:
 
 
 def _cmd_patch(args: argparse.Namespace, doc: dict) -> _Body:
-    patched = patch_topology(FinSpace.from_json(doc))
-    return {"carrier": list(patched.carrier.points), "closed": _sorted_sets(patched.closed_sets())}
+    return patch_topology(FinSpace.from_json(doc)).to_json()
 
 
 def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:

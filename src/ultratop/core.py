@@ -212,18 +212,18 @@ class SetFamily:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SetFamily":
-        """Construction from a JSON document; carrier labels and member names
-        are strings, and a string is never read as a list of labels.  A missing
-        key or a field of another JSON type raises a DomainError naming its path."""
+    def from_json(cls, doc: dict, at: str = "") -> "SetFamily":
+        """Construction from a JSON document; labels and names are strings, never
+        read from a string's characters.  A missing key or a field of another
+        JSON type raises a DomainError naming its path, prefixed by ``at``."""
         try:
-            labels = _json_key(doc, "carrier", list, item=str)
+            labels = _json_key(doc, "carrier", list, at, str)
             members = []
-            for i, m in enumerate(_json_key(doc, "members", list)):
-                at = f"members[{i}]"
-                _json_field(m, dict, at)
-                name = _json_key(m, "name", str, at + ".")
-                members.append((name, frozenset(_json_key(m, "set", list, at + "."))))
+            for i, m in enumerate(_json_key(doc, "members", list, at)):
+                path = f"{at}members[{i}]"
+                _json_field(m, dict, path)
+                name = _json_key(m, "name", str, path + ".")
+                members.append((name, frozenset(_json_key(m, "set", list, path + ".", str))))
         except (KeyError, TypeError) as exc:
             raise _MalformedDocument(f"malformed family document: {exc}") from exc
         return cls(Carrier.of(labels), tuple(members))

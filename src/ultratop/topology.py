@@ -194,12 +194,12 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FinSpace":
-        """Validated construction from a JSON document; carrier labels are
-        strings, and a string is never read as a list of labels."""
+        """Validated construction from a JSON document; carrier labels and the
+        entries of closed sets are strings, and a string is never read as a list."""
         carrier = _json_key(doc, "carrier", list, item=str)
         closed = _json_key(doc, "closed", list)
         for i, c in enumerate(closed):
-            _json_field(c, list, f"closed[{i}]")
+            _json_field(c, list, f"closed[{i}]", str)
         return cls.from_closed(carrier, [frozenset(c) for c in closed])
 
 

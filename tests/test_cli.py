@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -163,6 +164,12 @@ class TestExitCodes:
             ),
             ({"carrier": ["a"], "members": "a"}, "members must be a list"),
             ({"carrier": ["a"], "members": ["a"]}, "members[0] must be an object"),
+            ({"carrier": ["a"], "closed": [[], [["a"]]]}, "closed[1][0]"),
+            ({"carrier": ["a"], "closed": [[], [1]]}, "closed[1][0]"),
+            ({"carrier": ["a"], "members": [{"name": "F0", "set": [["a"]]}]}, "members[0].set[0]"),
+            ({"carrier": ["a"], "members": [{"name": "F0", "set": [1]}]}, "members[0].set[0]"),
+            ({"family": {"carrier": ["a"], "members": [{"name": "F0", "set": [1]}]}, "set": []},
+             "family.members[0].set[0]"),
         ],
     )
     def test_string_is_not_read_as_a_list(self, tmp_path, capsys, doc, path):
@@ -187,6 +194,7 @@ class TestExitCodes:
              "members[0].name"),
             ("patch", {"carrier": ["a"]}, "closed"),
             ("overrings", {"source": Z2_DOC, "target": Z2_DOC}, "map"),
+            ("closure", {"family": {"carrier": ["a"]}, "set": []}, "family.members"),
         ],
     )
     def test_missing_key_is_named(self, tmp_path, capsys, verb, doc, path):
@@ -255,12 +263,24 @@ class TestExitCodes:
         assert out.err == "internal error: internal: a prime ideal is not maximal\n"
 
     def test_unchecked_ring_laws_end_in_one_line(self, tmp_path, capsys):
-        # tables above rings.MAX_LAW_CHECK elements skip the associativity check
+        # the ring laws are checked at every size, up to the 64-element cap
         doc = zmod(33).to_json()
         doc["mul"][2][2] = 1
         code, out, err = run_file(tmp_path, capsys, "spec", doc)
-        assert (code, out) in ((2, ""), (3, ""))
+        assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("n, i, j, v", [(40, 32, 29, 30), (33, 2, 2, 1)])
+    def test_broken_ring_laws_are_two_at_any_size(self, tmp_path, capsys, n, i, j, v):
+        doc = zmod(n).to_json()
+        doc["mul"][i][j] = doc["mul"][j][i] = v
+        code, out, err = run_file(tmp_path, capsys, "spec", doc)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"domain error: (addition is not associative|multiplication is not associative"
+            r"|distributivity fails) at \(\d+, \d+, \d+\)\n",
+            err,
+        )
 
 
 def _slots(value):

@@ -9,11 +9,14 @@ or test every triple of labels.  They are slow but follow the definitions,
 so they serve as reference oracles on seeded random inputs.  The same holds
 for the finite intersection property (every subfamily is tried, and the
 earlier witness search that meets the sets of each combination afresh), for
-the Spec(Z) intersection (the complement of the union of the complements)
-and for factoring (plain trial division).
+the Spec(Z) intersection (the complement of the union of the complements),
+for factoring (plain trial division), and for the ring laws and ring
+homomorphisms, which the library checks at additive generators only: here
+every triple of elements, and every pair, is tried.
 """
 
 import ast
+import math
 import operator
 import random
 import re
@@ -26,10 +29,12 @@ from hypothesis import given, settings, strategies as st
 from ultratop import (
     Carrier,
     DomainError,
+    FiniteRing,
     FinSpace,
     FipResult,
     PrincipalUltrafilter,
     RingEmbedding,
+    RingHom,
     SetFamily,
     SpectralReport,
     ZConstructible,
@@ -250,6 +255,46 @@ def pairwise_intermediate_rings(emb):
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
+RING_LAWS = {
+    "addition is not associative":
+        lambda add, mul, i, j, k: add[add[i][j]][k] == add[i][add[j][k]],
+    "multiplication is not associative":
+        lambda add, mul, i, j, k: mul[mul[i][j]][k] == mul[i][mul[j][k]],
+    "distributivity fails":
+        lambda add, mul, i, j, k: mul[i][add[j][k]] == add[mul[i][j]][mul[i][k]],
+}
+
+
+def triple_scan_law_failure(add, mul):
+    """The first triple (i, j, k) that breaks associativity or
+    distributivity, with the law it breaks, or None."""
+    n = len(add)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for law, holds in RING_LAWS.items():
+                    if not holds(add, mul, i, j, k):
+                        return law, (i, j, k)
+    return None
+
+
+HOM_LAWS = {
+    "addition": lambda src, tgt, f, i, j: f[src.add[i][j]] == tgt.add[f[i]][f[j]],
+    "multiplication": lambda src, tgt, f, i, j: f[src.mul[i][j]] == tgt.mul[f[i]][f[j]],
+}
+
+
+def pair_scan_hom_failure(src, tgt, f):
+    """The first pair (i, j) whose sum or product the map f does not
+    preserve, with the operation, or None."""
+    for i in range(src.size):
+        for j in range(src.size):
+            for word, holds in HOM_LAWS.items():
+                if not holds(src, tgt, f, i, j):
+                    return word, (i, j)
+    return None
+
+
 # --------------------------------------------------------------------------
 # inputs
 
@@ -276,6 +321,79 @@ def random_closed_collection(rng, max_points=7):
         if rng.random() < 0.8:
             closed.add(full)
     return carrier, frozenset(closed)
+
+
+ZERO_RING = FiniteRing(("0",), ((0,),), ((0,),), 0, 0)
+
+
+def permuted(ring, rng):
+    """The same ring, labels included, with its elements in a random order."""
+    n = ring.size
+    new = rng.sample(range(n), n)  # new[i] is the new index of element i
+    old = sorted(range(n), key=new.__getitem__)
+
+    def table(t):
+        return tuple(tuple(new[t[old[a]][old[b]]] for b in range(n)) for a in range(n))
+
+    return FiniteRing(tuple(ring.elements[i] for i in old), table(ring.add), table(ring.mul),
+                      new[ring.zero], new[ring.one], name=ring.name)
+
+
+def corrupted_tables(rng, ring, count, add_share):
+    """The ring's tables with ``count`` symmetric entries overwritten, off the
+    rows of zero (in +) and of one (in *), and with a zero left in every row
+    of +: commutativity, the identities and the inverses still hold, so only
+    associativity and distributivity can fail."""
+    while True:
+        add, mul = [list(row) for row in ring.add], [list(row) for row in ring.mul]
+        for _ in range(count):
+            table, unit = (add, ring.zero) if rng.random() < add_share else (mul, ring.one)
+            i, j = rng.choices([x for x in range(ring.size) if x != unit], k=2)
+            table[i][j] = table[j][i] = rng.randrange(ring.size)
+        if all(ring.zero in row for row in add):
+            return tuple(map(tuple, add)), tuple(map(tuple, mul))
+
+
+def random_algebra(rng, p, k):
+    """Tables on the (Z/p)^k codes sum d_i p^i, with the first basis vector as
+    one and random products of the others, extended bilinearly: commutative,
+    unital and distributive, but associative only by chance."""
+    n = p**k
+    digits = [[x // p**i % p for i in range(k)] for x in range(n)]
+
+    def code(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    basis_mul = {}
+    for i in range(k):
+        for j in range(i, k):
+            basis_mul[i, j] = basis_mul[j, i] = (
+                digits[p**j] if i == 0 else digits[rng.randrange(n)]
+            )
+    add = tuple(tuple(code(map(sum, zip(a, b))) for b in digits) for a in digits)
+    mul = tuple(
+        tuple(
+            code(sum(a[i] * b[j] * c[t] for (i, j), c in basis_mul.items()) for t in range(k))
+            for b in digits
+        )
+        for a in digits
+    )
+    return add, mul
+
+
+def linear_map(rng, src, tgt, p):
+    """A random additive map between two tables of random_algebra over Z/p
+    that sends one (code 1) to one: only multiplication can fail."""
+    k = round(math.log(src.size, p))
+    images = [1] + [rng.randrange(tgt.size) for _ in range(1, k)]
+    f = []
+    for x in range(src.size):
+        y = tgt.zero
+        for i in range(k):
+            for _ in range(x // p**i % p):
+                y = tgt.add[y][images[i]]
+        f.append(y)
+    return tuple(f)
 
 
 def random_space(rng, max_points=7):
@@ -440,6 +558,127 @@ def test_intermediate_rings_match_the_pairwise_joins():
         for _ in range(20):
             seed = rng.sample(range(ambient.size), 2)
             assert subring_closure(ambient, seed) == fixpoint_subring_closure(ambient, seed)
+
+
+SMALL_RINGS = [zmod(n) for n in range(2, 17)] + [gf(q) for q in (4, 8, 9, 16)] + [
+    product(a, b)
+    for a in (zmod(2), zmod(3), zmod(4), gf(4))
+    for b in (zmod(2), zmod(3), zmod(4), zmod(5), gf(4), product(zmod(2), zmod(2)))
+    if a.size * b.size <= 16
+]
+
+
+def named_law_failure(add, mul, zero, one):
+    """The law and triple that ``FiniteRing`` names for the tables, or None."""
+    try:
+        FiniteRing(tuple(map(str, range(len(add)))), add, mul, zero, one)
+    except DomainError as e:
+        law, *triple = re.fullmatch(r"(.*) at \((\d+), (\d+), (\d+)\)", str(e)).groups()
+        return law, tuple(map(int, triple))
+    return None
+
+
+def test_ring_laws_match_the_triple_scan():
+    rng = random.Random(2029)
+    invalid = 0
+    for _ in range(2000):
+        ring = rng.choice(SMALL_RINGS)
+        if rng.random() < 0.5:
+            ring = permuted(ring, rng)
+        add, mul = corrupted_tables(rng, ring, rng.choice((1, 1, 2)), add_share=0.3)
+        named = named_law_failure(add, mul, ring.zero, ring.one)
+        assert (named is None) == (triple_scan_law_failure(add, mul) is None)
+        if named:
+            law, triple = named
+            assert not RING_LAWS[law](add, mul, *triple)
+            invalid += 1
+    assert invalid > 1000
+    nonassociative = 0
+    for _ in range(300):
+        add, mul = random_algebra(rng, *rng.choice(((2, 2), (2, 3), (2, 4), (3, 2))))
+        named = named_law_failure(add, mul, 0, 1)
+        assert (named is None) == (triple_scan_law_failure(add, mul) is None)
+        if named:
+            law, triple = named
+            assert law == "multiplication is not associative"
+            assert not RING_LAWS[law](add, mul, *triple)
+            nonassociative += 1
+    assert 50 < nonassociative < 250
+
+
+def test_broken_large_tables_name_a_failing_triple():
+    # one product entry changed in tables of 33 to 64 elements
+    rng = random.Random(2030)
+    large = [zmod(n) for n in range(33, 65)] + [
+        product(a, zmod(n)) for a in (zmod(2), zmod(3), gf(4), gf(8), gf(16))
+        for n in range(2, 33) if 33 <= a.size * n <= 64
+    ]
+    for _ in range(300):
+        ring = permuted(rng.choice(large), rng)
+        mul = ring.mul
+        while mul == ring.mul:  # a changed entry: never a ring above 2 elements
+            add, mul = corrupted_tables(rng, ring, 1, add_share=0)
+        law, triple = named_law_failure(add, mul, ring.zero, ring.one)
+        assert not RING_LAWS[law](add, mul, *triple)
+
+
+def named_hom_failure(src, tgt, f):
+    """The operation and pair that ``RingHom`` names for the map, or None."""
+    try:
+        RingHom(src, tgt, f)
+    except DomainError as e:
+        word, pair = re.fullmatch(r"map does not preserve (\w+) at (.*)", str(e)).groups()
+        return word, tuple(map(src.idx, ast.literal_eval(pair)))
+    return None
+
+
+def test_homomorphism_check_matches_the_pair_scan():
+    rng = random.Random(2031)
+    maps = [
+        (zmod(m), zmod(d), tuple(i % d for i in range(m)))
+        for m in range(2, 17) for d in range(2, m + 1) if m % d == 0
+    ] + [(r, r, tuple(range(r.size))) for r in SMALL_RINGS] + [
+        (e.source, e.target, e.mapping) for e in (f2_into_f16(), f4_into_f16())
+    ] + [(ZERO_RING, ZERO_RING, (0,)), (ZERO_RING, zmod(2), (1,))]
+    rejected = 0
+    for _ in range(4000):
+        src, tgt, f = rng.choice(maps)
+        image = {x: tgt.elements[v] for x, v in zip(src.elements, f)}
+        if rng.random() < 0.5:
+            src = permuted(src, rng)
+        if rng.random() < 0.5:
+            tgt = permuted(tgt, rng)
+        f = [tgt.idx(image[x]) for x in src.elements]
+        others = [i for i in range(src.size) if i != src.one]
+        for i in rng.sample(others, min(len(others), rng.choice((0, 1, 1, 2)))):
+            f[i] = rng.randrange(tgt.size)
+        f = tuple(f)
+        named = named_hom_failure(src, tgt, f)
+        assert (named is None) == (pair_scan_hom_failure(src, tgt, f) is None)
+        if named:
+            word, pair = named
+            assert not HOM_LAWS[word](src, tgt, f, *pair)
+            rejected += 1
+    assert 1000 < rejected < 3800
+    algebras = {2: [], 3: []}  # the associative draws, as rings
+    while len(algebras[2]) < 12 or len(algebras[3]) < 4:
+        p, k = rng.choice(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)))
+        add, mul = random_algebra(rng, p, k)
+        if named_law_failure(add, mul, 0, 1) is None:
+            algebras[p].append(FiniteRing(tuple(map(str, range(p**k))), add, mul, 0, 1))
+    rejected = 0
+    for _ in range(1000):
+        p = rng.choice((2, 3))
+        src, tgt = rng.choice(algebras[p]), rng.choice(algebras[p])
+        f = linear_map(rng, src, tgt, p)
+        named = named_hom_failure(src, tgt, f)
+        assert (named is None) == (pair_scan_hom_failure(src, tgt, f) is None)
+        if named:
+            word, pair = named
+            assert word == "multiplication"
+            assert not HOM_LAWS[word](src, tgt, f, *pair)
+            rejected += 1
+    assert 200 < rejected < 950
 
 
 def first_empty_subfamily(count, is_empty_meet):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -130,6 +131,14 @@ class TestFiniteRing:
     def test_product_size_cap(self):
         with pytest.raises(DomainError):
             product(zmod(9), zmod(8))
+
+    def test_additive_generators_are_logarithmic(self):
+        # each generator at least doubles the subgroup the earlier ones span
+        factors = [zmod(n) for n in range(2, 33)] + [gf(q) for q in (4, 8, 9, 16)]
+        rings = [zmod(n) for n in range(2, 65)] + [gf(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+        rings += [product(a, b) for a in factors for b in factors if a.size * b.size <= 64]
+        for r in rings:
+            assert len(r._additive_generators) <= math.log2(r.size), r.name
 
     def test_gf_is_a_field(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
@@ -299,6 +308,17 @@ class TestHoms:
         h = RingHom.of(zmod(12), zmod(6), {str(i): str(i % 6) for i in range(12)})
         assert h.apply("7") == "1"
         assert not h.is_injective
+
+    def test_every_reduction_is_a_homomorphism(self):
+        for m in range(2, 65):
+            for d in divisors(m)[1:]:
+                RingHom(zmod(m), zmod(d), tuple(i % d for i in range(m)))
+
+    def test_rejects_the_zero_ring_into_a_nonzero_ring(self):
+        zero = FiniteRing(("0",), ((0,),), ((0,),), 0, 0)
+        RingHom(zero, zero, (0,))
+        with pytest.raises(DomainError, match="does not preserve addition"):
+            RingHom(zero, zmod(2), (1,))
 
     def test_rejects_non_homomorphism(self):
         with pytest.raises(DomainError):
