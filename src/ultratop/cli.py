@@ -5,7 +5,8 @@ Every verb is one row of ``_VERBS``: its handler, its input argument
 the parsed arguments and the document, and returns the body of the output: a
 dict, or DOT text.  ``main`` alone reads the document, rejects ``--format
 dot`` on JSON-only verbs, adds the ``schema`` and ``verb`` header and writes
-stdout.
+stdout.  The argument parser is built once per process: ``build_parser()``
+returns the shared parser, which parsing leaves unchanged.
 
 Exit codes: 0 on success, 1 on malformed input (bad flags, unreadable files,
 broken JSON, missing keys, fields of the wrong JSON type, conflicting
@@ -19,9 +20,11 @@ tag v1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .core import (
@@ -55,9 +58,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_doc(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except OSError as e:
         raise InputError(f"cannot read {path!r}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path!r}: not {e.encoding} at byte {e.start} "
+                         f"({e.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -65,10 +75,6 @@ def _read_doc(path: str) -> dict:
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")
     return doc
-
-
-def _sorted_sets(sets) -> list[list[str]]:
-    return [sorted(s) for s in sets]
 
 
 def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
@@ -90,7 +96,7 @@ def _cmd_atoms(args: argparse.Namespace, doc: dict) -> _Body:
     alg = atoms(family)
     return {
         "carrier": list(family.carrier.points),
-        "atoms": _sorted_sets(alg.atoms),
+        "atoms": [sorted(a) for a in alg.atoms],
         "element_count": alg.element_count,
     }
 
@@ -118,7 +124,7 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
             {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
             for label, mem in _spectrum(ring)
         ],
-        "closed": _sorted_sets(space.closed_sets()),
+        "closed": space.to_json()["closed"],
     }
 
 
@@ -202,6 +208,7 @@ _VERBS: dict[str, tuple[Callable[[argparse.Namespace, dict | None], _Body], str 
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ultratop", description=__doc__)
     parser.add_argument(
@@ -224,6 +231,36 @@ def build_parser() -> argparse.ArgumentParser:
     verbs["specz-closure"].add_argument("--generic", action="store_true",
                                         help="include the generic point in the input subset")
     return parser
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for documents of string
+    keyed dicts, lists, tuples, strings, ints, booleans and None.  With an
+    indent ``json.dumps`` runs its pure-Python encoder; this writer keeps the
+    C string encoder.  Any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        try:  # labels are most of the output: a list of strings takes one map
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:
+            items = [_dumps(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(f"// ultratop schema {SCHEMA}\n" + body)
     else:
         body = {"schema": SCHEMA, "verb": args.verb, **body}
-        sys.stdout.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(body) + "\n")
     return 0
 
 

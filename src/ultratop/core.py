@@ -113,7 +113,7 @@ class Carrier:
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
@@ -137,10 +137,17 @@ class Carrier:
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self.points) if (mask >> i) & 1)
+        return frozenset(self.tuple_of(mask))
 
     def tuple_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if (mask >> i) & 1)
+        """The labels of a mask in carrier order, so sorted; one step per set
+        bit.  Bits past the carrier are ignored."""
+        points, out, mask = self.points, [], mask & self.full_mask
+        while mask:
+            low = mask & -mask
+            out.append(points[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -149,12 +149,15 @@ class FinSpace:
         full = self.carrier.full_mask
         return frozenset((~m) & full for m in self.closed_masks)
 
+    def _closed_tuples(self) -> list[tuple[str, ...]]:
+        """Closed sets as sorted label tuples, sorted by size then labels."""
+        out = sorted(map(self.carrier.tuple_of, self.closed_masks))
+        out.sort(key=len)  # stable, so sets of one size stay in label order
+        return out
+
     def closed_sets(self) -> tuple[frozenset[str], ...]:
         """Closed sets as label sets, sorted by size then labels."""
-        keyed = sorted(
-            (len(t), t) for t in (self.carrier.tuple_of(m) for m in self.closed_masks)
-        )
-        return tuple(frozenset(t) for _, t in keyed)
+        return tuple(map(frozenset, self._closed_tuples()))
 
     def is_closed(self, subset: Iterable[str]) -> bool:
         return self.closure_mask(m := self.carrier.mask_of(subset)) == m
@@ -189,7 +192,7 @@ class FinSpace:
     def to_json(self) -> dict:
         return {
             "carrier": list(self.carrier.points),
-            "closed": [sorted(s) for s in self.closed_sets()],
+            "closed": list(map(list, self._closed_tuples())),
         }
 
     @classmethod

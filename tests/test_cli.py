@@ -1,9 +1,11 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import re
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,18 @@ def run(capsys, argv, stdin_doc=None, monkeypatch=None):
     return code, out.out, out.err
 
 
+def call_main(argv, doc=None):
+    """(exit code, stdout, stderr) of one in-process call, with doc on stdin."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO("" if doc is None else json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_file(tmp_path, capsys, verb, doc, extra=()):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -82,6 +96,23 @@ class TestExitCodes:
         path.write_text("[1, 2]")
         assert main(["ultra-topology", str(path)]) == 1
         capsys.readouterr()
+
+    def test_file_input_is_closed(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _, err = run_file(tmp_path, capsys, "atoms", FAMILY_DOC)
+            gc.collect()
+        assert (code, err) == (0, "")
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_non_utf8_file_is_one_short_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        head = json.dumps(FAMILY_DOC).encode()[:-1] + b', "x": "'
+        path.write_bytes(head + b'\xe9"' + b" " * 5000 + b"}")  # é in Latin-1
+        assert main(["atoms", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read {str(path)!r}: not utf-8 at byte {len(head)} "
+                       "(invalid continuation byte)\n")
 
     def test_missing_key_is_one(self, tmp_path, capsys):
         code, _, err = run_file(tmp_path, capsys, "closure", FAMILY_DOC)
@@ -320,17 +351,11 @@ class TestFuzz:
     @given(mutated_documents())
     def test_mutated_documents_fail_cleanly(self, case):
         verb, doc = case
-        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-        sys.stdin = io.StringIO(json.dumps(doc))
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([verb, "-"])
-        finally:
-            sys.stdin = stdin
+        code, out, err = call_main([verb, "-"], doc)
         assert code in (0, 1, 2)
         if code:
-            assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == (code != 0)
+            assert out == ""
+        assert len(err.splitlines()) == (code != 0)
 
 
 class TestVerbs:
@@ -535,3 +560,46 @@ class TestStdinAndDeterminism:
     def test_schema_tag_everywhere(self, tmp_path, capsys):
         _, out, _ = run_file(tmp_path, capsys, "patch", SIERPINSKI_DOC)
         assert json.loads(out)["schema"] == "v1"
+
+
+# pairs of calls whose parsed arguments differ in a default, a flag, the
+# output format or the exit code
+SEQUENCES = [
+    ((["spec", "--zmod", "4"], None), (["spec", "-"], Z2_DOC)),
+    ((["specz-closure", "--primes", "2", "--generic"], None), (["specz-closure", "--primes", "2"], None)),
+    ((["overrings", "-", "--format", "dot"], EMBEDDING_DOC), (["overrings", "-"], EMBEDDING_DOC)),
+    ((["atoms", "-", "--bogus"], FAMILY_DOC), (["atoms", "-"], FAMILY_DOC)),
+]
+
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfffé€😀') | st.characters(exclude_categories=()),
+    max_size=6,
+)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | JSON_TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestOutputPath:
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(JSON_TREES)
+    def test_writer_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_writer_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            cli._dumps({"a": [1.5]})
+
+    @pytest.mark.parametrize("first, second", SEQUENCES)
+    def test_cached_parser_keeps_calls_apart(self, first, second):
+        assert cli.build_parser() is cli.build_parser()
+        alone = []
+        for argv, doc in (first, second):
+            cli.build_parser.cache_clear()
+            alone.append(call_main(argv, doc))
+        assert alone[0] != alone[1] and alone[1][0] == 0
+        cli.build_parser.cache_clear()
+        assert [call_main(*first), call_main(*second)] == alone
