@@ -77,8 +77,17 @@ def _read_doc(path: str) -> dict:
     return doc
 
 
+class _EncodedSets(list):
+    """Closed sets from ``FinSpace._listing``, labels JSON-encoded; only ``_dumps`` writes it."""
+
+
+def _space_body(space: FinSpace) -> dict:
+    return {"carrier": list(space.carrier.points),
+            "closed": _EncodedSets(space._listing(encode_basestring_ascii))}
+
+
 def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
-    return ultra_topology(SetFamily.from_json(doc)).to_json()
+    return _space_body(ultra_topology(SetFamily.from_json(doc)))
 
 
 def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
@@ -107,7 +116,7 @@ def _cmd_check_spectral(args: argparse.Namespace, doc: dict) -> _Body:
 
 
 def _cmd_patch(args: argparse.Namespace, doc: dict) -> _Body:
-    return patch_topology(FinSpace.from_json(doc)).to_json()
+    return _space_body(patch_topology(FinSpace.from_json(doc)))
 
 
 def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
@@ -124,7 +133,7 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
             {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
             for label, mem in _spectrum(ring)
         ],
-        "closed": space.to_json()["closed"],
+        "closed": _EncodedSets(space._listing(encode_basestring_ascii)),
     }
 
 
@@ -235,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for documents of string
-    keyed dicts, lists, tuples, strings, ints, booleans and None.  With an
-    indent ``json.dumps`` runs its pure-Python encoder; this writer keeps the
-    C string encoder.  Any other type raises TypeError."""
+    keyed dicts, lists, tuples, strings, ints, booleans, None and
+    ``_EncodedSets`` (one join per set).  With an indent ``json.dumps`` runs its
+    pure-Python encoder; this writer keeps the C one.  Other types raise TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -246,8 +255,11 @@ def _dumps(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
+    inner, brackets = indent + "  ", "[]"
+    if isinstance(value, _EncodedSets):  # one join per set, no call per label
+        head, sep = "[" + inner + "  ", "," + inner + "  "
+        items = [f"{head}{sep.join(run)}{inner}]" if run else "[]" for run in value]
+    elif isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
@@ -255,7 +267,6 @@ def _dumps(value, indent: str = "\n") -> str:
             items = list(map(encode_basestring_ascii, value))
         except TypeError:
             items = [_dumps(v, inner) for v in value]
-        brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not items:

@@ -5,8 +5,9 @@ finite space is the preorder of its point closures (y lies below x when y is
 in the closure of x), its closed sets are exactly the unions of point
 closures, and its smallest open around a point is the up-set of that point.
 So every construction and query costs polynomial time in the number of
-points.  The closed sets are an output format, listed only when asked for
-and only up to ``MAX_CLOSED_SETS`` of them.
+points.  The closed sets are an output format, listed only when asked for,
+only up to ``MAX_CLOSED_SETS`` of them, sorted by one integer key of each
+mask and spelled out through one table of label runs per 4 points.
 
 A space built with the plain constructor is trusted to satisfy the topology
 axioms (internal constructions are correct by construction);
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     Carrier, DomainError, SetFamily, UltratopError, _json_field, _json_key, _union_at
@@ -30,6 +31,8 @@ from .core import (
 # them (the discrete one), so the sweep that lists them stops with a
 # DomainError once it passes this many.
 MAX_CLOSED_SETS = 1 << 16
+# byte b with its bits in reverse order, for the listing's sort key
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class NotT0Error(DomainError):
@@ -51,6 +54,14 @@ def _meets_at_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
             if (m >> i) & 1:
                 out[i] &= m
     return out
+
+
+def _listing_key(carrier: Carrier) -> Callable[[int], int]:
+    """Sort key of masks by size, then sorted labels: of two sets of one size the
+    one with the larger bit-reversed mask comes first.  Bits past the carrier are ignored."""
+    full, size = carrier.full_mask, (len(carrier) + 7) // 8
+    return lambda m: ((m & full).bit_count() << 8 * size) - int.from_bytes(
+        (m & full).to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
 
 
 def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
@@ -149,15 +160,23 @@ class FinSpace:
         full = self.carrier.full_mask
         return frozenset((~m) & full for m in self.closed_masks)
 
-    def _closed_tuples(self) -> list[tuple[str, ...]]:
-        """Closed sets as sorted label tuples, sorted by size then labels."""
-        out = sorted(map(self.carrier.tuple_of, self.closed_masks))
-        out.sort(key=len)  # stable, so sets of one size stay in label order
+    def _listing(self, label: Callable[[str], object] = str) -> list[list]:
+        """The closed sets sorted by size then labels, each as the list of its
+        points' ``label``s, read 4 points at a time from tables of label runs."""
+        labels, tables, out = list(map(label, self.carrier.points)), [], []
+        for s in range(0, len(labels), 4):
+            tables.append((s, table := [[]]))
+            for q in labels[s:s + 4]:
+                table += [run + [q] for run in table]
+        for m in sorted(self.closed_masks, key=_listing_key(self.carrier)):
+            out.append(run := [])
+            for s, table in tables:
+                run += table[m >> s & 15]
         return out
 
     def closed_sets(self) -> tuple[frozenset[str], ...]:
         """Closed sets as label sets, sorted by size then labels."""
-        return tuple(map(frozenset, self._closed_tuples()))
+        return tuple(map(frozenset, self._listing()))
 
     def is_closed(self, subset: Iterable[str]) -> bool:
         return self.closure_mask(m := self.carrier.mask_of(subset)) == m
@@ -192,7 +211,7 @@ class FinSpace:
     def to_json(self) -> dict:
         return {
             "carrier": list(self.carrier.points),
-            "closed": list(map(list, self._closed_tuples())),
+            "closed": self._listing(),
         }
 
     @classmethod

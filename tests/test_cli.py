@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -575,19 +576,48 @@ JSON_TEXT = st.text(
     st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfffé€😀') | st.characters(exclude_categories=()),
     max_size=6,
 )
+# closed-set listings as the CLI hands them to the writer, labels encoded
+ENCODED_SETS = st.lists(
+    st.lists(JSON_TEXT.map(encode_basestring_ascii), max_size=4), max_size=4
+).map(cli._EncodedSets)
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | JSON_TEXT,
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | JSON_TEXT
+    | ENCODED_SETS,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(JSON_TEXT, kids, max_size=4)),
     max_leaves=12,
 )
 
 
+def plain(value):
+    """The value with each ``_EncodedSets`` as the lists of strings it stands for."""
+    if isinstance(value, cli._EncodedSets):
+        return [[json.loads(label) for label in run] for run in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def nested(value, depth):
+    for key in range(depth):
+        value = [0, value] if key % 2 else {"k": value, "": None}
+    return value
+
+
 class TestOutputPath:
     @settings(max_examples=300, derandomize=True, database=None)
     @given(JSON_TREES)
     def test_writer_matches_json_dumps(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_writer_writes_encoded_sets_at_any_depth(self, depth):
+        sets = cli._EncodedSets([[], ['"a"', '"\\u00e9"'], ['"\\"x"'], []])
+        for value in (sets, cli._EncodedSets()):
+            value = nested(value, depth)
+            assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
 
     def test_writer_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -12,10 +12,13 @@ earlier witness search that meets the sets of each combination afresh), for
 the Spec(Z) intersection (the complement of the union of the complements),
 for factoring (plain trial division), and for the ring laws and ring
 homomorphisms, which the library checks at additive generators only: here
-every triple of elements, and every pair, is tried.
+every triple of elements, and every pair, is tried.  Closed-set listings,
+which the library sorts by one integer key per mask and writes from label
+tables, are compared with label tuples sorted twice and ``json.dumps``.
 """
 
 import ast
+import json
 import math
 import operator
 import random
@@ -32,6 +35,7 @@ from ultratop import (
     FiniteRing,
     FinSpace,
     FipResult,
+    Poset,
     PrincipalUltrafilter,
     RingEmbedding,
     RingHom,
@@ -53,6 +57,7 @@ from ultratop import (
     poset_to_space,
     prime_factors,
     product,
+    spec_space,
     stable_closure,
     subring_closure,
     ultra_topology,
@@ -61,6 +66,7 @@ from ultratop import (
 )
 from ultratop.core import _join_closure
 from conftest import random_family
+from test_cli import call_main
 from test_rings import f2_into_f16, f4_into_f16
 from test_topology import random_poset
 
@@ -471,6 +477,81 @@ def test_closed_sets_match_the_enumerated_unions():
                 assert space.is_open(labels) == (
                     space.carrier.mask_of(labels) in oracle.open_masks
                 )
+
+
+def closed_tuples(space):
+    """The closed sets as sorted label tuples, sorted by size then labels: the
+    label tuples sorted, then sorted again, stably, by size."""
+    out = sorted(map(space.carrier.tuple_of, space.closed_masks))
+    out.sort(key=len)
+    return out
+
+
+def dumped(body):
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+# Text order of the labels' JSON strings is not label order: "a" < "a!" and
+# "z" < "é", but '"a!"' < '"a"' and '"\\u00e9"' < '"z"'.
+PREFIX_LABELS = ["a", "a!", "a ", "é", "z"]
+ODD_CHARS = ["a", "!", " ", "é", "z", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "😀"]
+
+
+def odd_labels(rng, n):
+    labels = set(rng.sample(PREFIX_LABELS, min(n, rng.randint(0, 5))))
+    while len(labels) < n:
+        labels.add("".join(rng.choices(ODD_CHARS, k=rng.randint(1, 4))))
+    return sorted(labels)
+
+
+def few_members(rng, labels):
+    """A family of at most 3 members, so at most 8 atoms and 256 stable sets."""
+    members = [[x for x in labels if rng.random() < p] for p in rng.choices((0.1, 0.5, 0.9), k=3)]
+    return SetFamily.of(labels, members[: rng.randint(1, 3)])
+
+
+def layered_poset(rng, labels):
+    """Levels of at most 3 points, each level below the next: few down-sets."""
+    order, levels = rng.sample(labels, len(labels)), []
+    while order:
+        levels.append(order[: rng.randint(1, 3)])
+        order = order[len(levels[-1]):]
+    pairs = [(x, y) for low, high in zip(levels, levels[1:]) for x in low for y in high]
+    return Poset.from_pairs(labels, pairs)
+
+
+def test_listings_match_the_sorted_label_tuples():
+    rng = random.Random(2036)
+    sizes = [1, 2, 3, 5, 6, 7, 9, 13, 31, 63, 65, 67, 70] + [rng.randint(1, 70) for _ in range(27)]
+    for n in sizes:
+        labels = odd_labels(rng, n)
+        family = few_members(rng, labels)
+        subbasis = from_subbasis(few_members(rng, labels))
+        cases = [
+            (ultra_topology(family), "ultra-topology", family.to_json()),
+            (patch_topology(subbasis), "patch", {"carrier": labels, "closed": closed_tuples(subbasis)}),
+            (subbasis, None, None),
+            (poset_to_space(layered_poset(rng, labels)), None, None),
+        ]
+        for space, verb, doc in cases:
+            expect = {"carrier": labels, "closed": list(map(list, closed_tuples(space)))}
+            assert space.to_json() == expect
+            assert space.closed_sets() == tuple(map(frozenset, expect["closed"]))
+            if doc is not None:
+                assert call_main([verb, "-"], doc) == (
+                    0, dumped({"schema": "v1", "verb": verb, **expect}), ""
+                )
+
+
+def test_spectrum_listings_match_the_sorted_label_tuples():
+    rng = random.Random(2037)
+    for ring in [zmod(n) for n in (2, 6, 12, 30, 60)] + [product(zmod(6), zmod(10))] * 4:
+        names = rng.sample(odd_labels(rng, ring.size), ring.size)
+        ring = FiniteRing(tuple(names), ring.add, ring.mul, ring.zero, ring.one)
+        code, out, err = call_main(["spec", "-"], ring.to_json())
+        body = json.loads(out)
+        assert body["closed"] == list(map(list, closed_tuples(spec_space(ring))))
+        assert (code, out, err) == (0, dumped(body), "")
 
 
 def test_covers_match_the_label_triple_scan():

@@ -142,6 +142,17 @@ class TestFinSpace:
         with pytest.raises(DomainError, match="capped at 8 sets"):
             chain(8).closed_sets()
 
+    def test_listing_key_orders_by_size_then_labels(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 70)
+            carrier = Carrier.of(f"x{i:02d}" for i in range(n))
+            wide = 1 << (n + rng.randint(0, 12))  # bits past the carrier too
+            masks = [rng.randrange(wide) & rng.randrange(wide) for _ in range(rng.randint(0, 40))]
+            masks += [m | rng.randrange(wide) & ~carrier.full_mask for m in masks[:5]]
+            expect = sorted(masks, key=lambda m: (len(carrier.tuple_of(m)), carrier.tuple_of(m)))
+            assert sorted(masks, key=topology._listing_key(carrier)) == expect
+
 
 class TestSubbasis:
     def test_generated_topology_is_coarsest(self):
