@@ -3,15 +3,16 @@ the spaces of intermediate rings attached to ring embeddings.
 
 Rings are deliberately small: operation tables are capped at 64 elements,
 every ring law is checked on load, and subring enumeration is capped at a
-32-element ambient ring.  Everything structural is therefore decidable by
-direct enumeration, and the functions below prefer the literal definition
-with an internal cross-check over a clever shortcut.
+32-element ambient ring.  Checks compare whole table rows, and run the
+element-by-element loop only to name the first offender once a row check
+fails.  Subrings are spanned from generators (docs/theory_notes.md, section 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -57,10 +58,7 @@ class FiniteRing:
     @cached_property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse of each element."""
-        out = []
-        for i in range(self.size):
-            out.append(self.add[i].index(self.zero))
-        return tuple(out)
+        return tuple(row.index(self.zero) for row in self.add)
 
     @cached_property
     def _additive_generators(self) -> tuple[int, ...]:
@@ -119,24 +117,27 @@ def _check_ring(r: FiniteRing) -> None:
         raise DomainError(f"operation tables are capped at {MAX_RING} elements")
     if len(set(r.elements)) != n:
         raise DomainError("element labels must be pairwise distinct")
+    indices = set(range(n))
     for table, word in ((r.add, "addition"), (r.mul, "multiplication")):
         if len(table) != n or any(len(row) != n for row in table):
             raise DomainError(f"{word} table must be {n}x{n}")
-        for row in table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise DomainError(f"{word} table entry {v} is out of range")
+        if not all(map(indices.issuperset, table)):
+            for row in table:
+                for v in row:
+                    if not 0 <= v < n:
+                        raise DomainError(f"{word} table entry {v} is out of range")
     if not 0 <= r.zero < n or not 0 <= r.one < n:
         raise DomainError("zero and one must be element indices")
     if r.zero == r.one and n > 1:
         raise DomainError("one must differ from zero in a nontrivial ring")
     add, mul = r.add, r.mul
-    for i in range(n):
-        for j in range(i, n):
-            if add[i][j] != add[j][i]:
-                raise DomainError(f"addition is not commutative at ({i}, {j})")
-            if mul[i][j] != mul[j][i]:
-                raise DomainError(f"multiplication is not commutative at ({i}, {j})")
+    if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:
+        for i in range(n):
+            for j in range(i, n):
+                if add[i][j] != add[j][i]:
+                    raise DomainError(f"addition is not commutative at ({i}, {j})")
+                if mul[i][j] != mul[j][i]:
+                    raise DomainError(f"multiplication is not commutative at ({i}, {j})")
     for i in range(n):
         if add[r.zero][i] != i:
             raise DomainError(f"zero is not an additive identity at {i}")
@@ -146,13 +147,14 @@ def _check_ring(r: FiniteRing) -> None:
             raise DomainError(f"element {i} has no additive inverse")
     # Light's test gives associativity of + at the generators alone; the other
     # laws are then additive in the middle slot (docs/theory_notes.md, section 4)
-    for g in r._additive_generators:
+    for g in r._additive_generators:  # n > 1, so each getter returns a tuple
+        plus_g, times_g = itemgetter(*add[g]), itemgetter(*mul[g])
         for x in range(n):
             ax, mx = add[x], mul[x]
             for law, lhs, rhs in (
-                ("addition is not associative", add[ax[g]], _compose(ax, add[g])),
-                ("multiplication is not associative", mul[mx[g]], _compose(mx, mul[g])),
-                ("distributivity fails", _compose(mx, add[g]), _compose(add[mx[g]], mx)),
+                ("addition is not associative", add[ax[g]], plus_g(ax)),
+                ("multiplication is not associative", mul[mx[g]], times_g(mx)),
+                ("distributivity fails", plus_g(mx), _compose(add[mx[g]], mx)),
             ):
                 if lhs != rhs:
                     z = next(z for z in range(n) if lhs[z] != rhs[z])
@@ -184,15 +186,10 @@ def product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
     )
 
     def table(tr, ts):
-        rows = []
-        for i in range(n):
-            for j in range(m):
-                rows.append(
-                    tuple(
-                        tr[i][k] * m + ts[j][l] for k in range(n) for l in range(m)
-                    )
-                )
-        return tuple(rows)
+        return tuple(
+            tuple(tr[i][k] * m + ts[j][l] for k in range(n) for l in range(m))
+            for i in range(n) for j in range(m)
+        )
 
     return FiniteRing(
         labels,
@@ -327,6 +324,10 @@ class RingEmbedding(RingHom):
         if not self.is_injective:
             raise DomainError("embedding must be injective")
 
+    @cached_property
+    def _intermediate(self) -> tuple["Subring", ...]:
+        return _intermediate_rings(self)
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -336,10 +337,14 @@ class Ideal:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        r = self.ring
-        if r.zero not in self.members:
+        r, ms = self.ring, self.members
+        if r.zero not in ms:
             raise DomainError("an ideal must contain zero")
-        for a in self.members:
+        pick = itemgetter(*ms, r.zero)  # zero twice: a tuple even for one member
+        if ms.issubset(range(r.size)) and ms.issuperset(  # products: rows are columns
+                chain(*map(pick, pick(r.add)), *pick(r.mul))):
+            return
+        for a in ms:
             if not 0 <= a < r.size:
                 raise DomainError(f"ideal member {a} is out of range")
             for b in self.members:
@@ -418,13 +423,12 @@ def _spectrum(ring: FiniteRing) -> tuple[tuple[str, frozenset[int]], ...]:
     one exists and by the member list otherwise."""
     pairs = []
     for members in _prime_sets(ring):
-        label = None
-        for x in range(ring.size):
-            if frozenset(ring.mul[r][x] for r in range(ring.size)) == members:
-                label = f"({ring.elements[x]})"
-                break
-        if label is None:
+        x = next((x for x in range(ring.size)
+                  if frozenset(ring.mul[r][x] for r in range(ring.size)) == members), None)
+        if x is None:
             label = "{" + ",".join(ring.elements[i] for i in sorted(members)) + "}"
+        else:
+            label = f"({ring.elements[x]})"
         pairs.append((label, members))
     return tuple(sorted(pairs))
 
@@ -434,14 +438,11 @@ def spec_space(ring: FiniteRing) -> FinSpace:
     spectrum = _spectrum(ring)
     if not spectrum:
         raise DomainError("the zero ring has an empty spectrum")
-    closed = []
-    for ideal_members in _ideal_sets(ring):
-        closed.append(
-            frozenset(label for label, mem in spectrum if ideal_members <= mem)
-        )
-    return FinSpace.from_closed(
-        Carrier.of(label for label, _ in spectrum), closed
-    )
+    closed = [
+        frozenset(label for label, mem in spectrum if ideal_members <= mem)
+        for ideal_members in _ideal_sets(ring)
+    ]
+    return FinSpace.from_closed(Carrier.of(label for label, _ in spectrum), closed)
 
 
 def vanishing_set(ring: FiniteRing, element: str) -> frozenset[str]:
@@ -509,11 +510,15 @@ class Subring:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        r = self.ambient
+        r, ms = self.ambient, self.members
         for need, word in ((r.zero, "zero"), (r.one, "one")):
-            if need not in self.members:
+            if need not in ms:
                 raise DomainError(f"a subring must contain {word}")
-        for a in self.members:
+        pick = itemgetter(*ms, r.zero)  # zero twice: a tuple even for one member
+        if ms.issubset(range(r.size)) and ms.issuperset(
+                chain(*map(pick, (r.neg, *pick(r.add), *pick(r.mul))))):
+            return
+        for a in ms:
             if not 0 <= a < r.size:
                 raise DomainError(f"subring member {a} is out of range")
             if r.neg[a] not in self.members:
@@ -543,53 +548,78 @@ class Subring:
 
 def subring_closure(ambient: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
     """Smallest unital subring containing the seed elements."""
-    members = set(seed) | {ambient.zero, ambient.one}
-    todo = list(members)
+    return _subring(ambient, seed, {})
+
+
+def _subring(ambient: FiniteRing, seed: Iterable[int], basis: dict) -> frozenset[int]:
+    """The span of the seed's products, one included, found by multiplying new
+    products by seed elements alone (docs/theory_notes.md, section 5, Lemma 1)."""
+    seed = set(seed)
+    monoid = todo = seed | {ambient.one}
     while todo:
-        a = todo.pop()
-        # each pair is combined when its later element is taken off the list
-        found = {ambient.neg[a]}
-        for b in list(members):
-            found.add(ambient.add[a][b])
-            found.add(ambient.mul[a][b])
-        for v in found - members:
-            members.add(v)
-            todo.append(v)
-    return frozenset(members)
+        todo = {ambient.mul[m][g] for m in todo for g in seed} - monoid
+        monoid |= todo
+    return _span(ambient, frozenset({ambient.zero}), monoid, basis)
+
+
+def _span(
+    ambient: FiniteRing, group: frozenset[int], more: Iterable[int], basis: dict
+) -> frozenset[int]:
+    """The additive group generated by a subgroup H and more elements: each g
+    outside adds H+g, H+2g, ... until k*g is in H.  ``basis`` maps groups to
+    additive generators; it is read for H and written for the result."""
+    span, gens = group, list(basis.get(group, ()))
+    for g in more:
+        if g not in span:
+            grown, kg = set(span), g
+            while kg not in span:
+                grown.update(map(ambient.add[kg].__getitem__, span))
+                kg = ambient.add[kg][g]
+            span = grown
+            gens.append(g)
+    span = frozenset(span)
+    basis.setdefault(span, tuple(gens))
+    return span
 
 
 def intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
-    """All subrings of the target that contain the embedded image.
+    """All subrings of the target containing the image, by size then content."""
+    return emb._intermediate
 
-    Every such subring is a join of the single-element extensions of the
-    image, so the join closure of those extensions is exhaustive.
-    """
+
+def _intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
+    """The join closure of the image A and its extensions A[b] = A v Z[b]
+    (docs/theory_notes.md, section 5, Lemma 2)."""
     ambient = emb.target
     if ambient.size > MAX_OVERRING_AMBIENT:
-        raise DomainError(
-            f"intermediate-ring enumeration is capped at {MAX_OVERRING_AMBIENT}"
-            " ambient elements"
-        )
-    image = frozenset(emb.mapping)
-    # b ranging over the image gives the subring generated by the image
-    extensions = {subring_closure(ambient, image | {b}) for b in range(ambient.size)}
-    found = _join_closure(extensions, lambda a, b: subring_closure(ambient, a | b))
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return tuple(Subring(ambient, s) for s in ordered)
+        raise DomainError(f"intermediate-ring enumeration is capped at "
+                          f"{MAX_OVERRING_AMBIENT} ambient elements")
+    basis: dict[frozenset[int], tuple[int, ...]] = {}
+
+    def join(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+        if a <= b or b <= a:
+            return max(a, b, key=len)
+        return _span(ambient, a, [ambient.mul[x][y] for x in basis[a] for y in basis[b]], basis)
+
+    image = _subring(ambient, emb.mapping, basis)
+    extensions = {join(image, _subring(ambient, {b}, basis))
+                  for b in range(ambient.size) if b not in image}
+    rings = _join_closure([image, *extensions], join)
+    return tuple(Subring(ambient, s) for s in sorted(rings, key=lambda s: (len(s), sorted(s))))
 
 
 def overring_family(emb: RingEmbedding) -> SetFamily:
     """For each target element x, the set of intermediate rings containing x."""
     rings = intermediate_rings(emb)
-    carrier = Carrier.of(r.label() for r in rings)
+    labels = [r.label() for r in rings]
     members = tuple(
         (
             f"U_{emb.target.elements[x]}",
-            frozenset(r.label() for r in rings if x in r.members),
+            frozenset(lab for lab, r in zip(labels, rings) if x in r.members),
         )
         for x in range(emb.target.size)
     )
-    return SetFamily(carrier, members)
+    return SetFamily(Carrier.of(labels), members)
 
 
 def overring_space(emb: RingEmbedding) -> FinSpace:

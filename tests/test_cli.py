@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultratop import UltratopError, gf, product, zmod
-from ultratop import cli
+from ultratop import cli, rings
 from ultratop.cli import main
 
 
@@ -469,6 +469,18 @@ class TestVerbs:
         assert code == 0
         assert out.startswith("// ultratop schema v1\n")
         assert '"{0,1}" -> "{0,1,2,3}";' in out
+
+    @pytest.mark.parametrize("extra", [[], ["--format", "dot"]], ids=["json", "dot"])
+    def test_overrings_enumerates_intermediate_rings_once(self, monkeypatch, extra):
+        # the space, its spectral report and the JSON ring list share one enumeration
+        calls, worker = [], rings._intermediate_rings
+        monkeypatch.setattr(rings, "_intermediate_rings", lambda emb: calls.append(emb) or worker(emb))
+        target = product(gf(4), zmod(2))
+        doc = {"source": Z2_DOC, "target": target.to_json(), "map": [target.zero, target.one]}
+        for count in (1, 2):
+            code, out, err = call_main(["overrings", "-", *extra], doc)
+            assert (code, err) == (0, "")
+            assert len(calls) == count
 
     def test_overrings_rejects_non_embedding(self, tmp_path, capsys):
         doc = {

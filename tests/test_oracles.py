@@ -15,6 +15,11 @@ homomorphisms, which the library checks at additive generators only: here
 every triple of elements, and every pair, is tried.  Closed-set listings,
 which the library sorts by one integer key per mask and writes from label
 tables, are compared with label tuples sorted twice and ``json.dumps``.
+Subrings, which the library spans from generators, are closed here under
+every pair until nothing changes, also in characteristics 8, 9, 27 and 32,
+where a span takes more than one coset per generator.  The table, subring
+and ideal checks, which the library runs on whole rows, are compared message
+for message with the element-wise loops below.
 """
 
 import ast
@@ -35,11 +40,13 @@ from ultratop import (
     FiniteRing,
     FinSpace,
     FipResult,
+    Ideal,
     Poset,
     PrincipalUltrafilter,
     RingEmbedding,
     RingHom,
     SetFamily,
+    Subring,
     SpectralReport,
     ZConstructible,
     ZPoint,
@@ -69,6 +76,7 @@ from conftest import random_family
 from test_cli import call_main
 from test_rings import f2_into_f16, f4_into_f16
 from test_topology import random_poset
+from test_workload_outputs import workloads
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +306,71 @@ def pair_scan_hom_failure(src, tgt, f):
             for word, holds in HOM_LAWS.items():
                 if not holds(src, tgt, f, i, j):
                     return word, (i, j)
+    return None
+
+
+def elementwise_table_check(add, mul):
+    """The range and commutativity checks of a ring's tables, entry by entry."""
+    n = len(add)
+    for table, word in ((add, "addition"), (mul, "multiplication")):
+        for row in table:
+            for v in row:
+                if not 0 <= v < n:
+                    raise DomainError(f"{word} table entry {v} is out of range")
+    for i in range(n):
+        for j in range(i, n):
+            if add[i][j] != add[j][i]:
+                raise DomainError(f"addition is not commutative at ({i}, {j})")
+            if mul[i][j] != mul[j][i]:
+                raise DomainError(f"multiplication is not commutative at ({i}, {j})")
+
+
+def elementwise_subring_check(r, members):
+    """Subring membership, one member and one pair at a time."""
+    for need, word in ((r.zero, "zero"), (r.one, "one")):
+        if need not in members:
+            raise DomainError(f"a subring must contain {word}")
+    for a in members:
+        if not 0 <= a < r.size:
+            raise DomainError(f"subring member {a} is out of range")
+        if r.neg[a] not in members:
+            raise DomainError(f"subring is not closed under negation at {r.elements[a]!r}")
+        for b in members:
+            for table, word in ((r.add, "addition"), (r.mul, "multiplication")):
+                if table[a][b] not in members:
+                    raise DomainError(
+                        f"subring is not closed under {word} at "
+                        f"({r.elements[a]!r}, {r.elements[b]!r})"
+                    )
+
+
+def elementwise_ideal_check(r, members):
+    """Ideal membership, one member and one pair at a time."""
+    if r.zero not in members:
+        raise DomainError("an ideal must contain zero")
+    for a in members:
+        if not 0 <= a < r.size:
+            raise DomainError(f"ideal member {a} is out of range")
+        for b in members:
+            if r.add[a][b] not in members:
+                raise DomainError(
+                    f"ideal is not closed under addition at "
+                    f"({r.elements[a]!r}, {r.elements[b]!r})"
+                )
+        for x in range(r.size):
+            if r.mul[x][a] not in members:
+                raise DomainError(
+                    f"ideal does not absorb multiplication at "
+                    f"({r.elements[x]!r}, {r.elements[a]!r})"
+                )
+
+
+def raised(call, *args):
+    """The type and message of what the call raises, or None."""
+    try:
+        call(*args)
+    except Exception as e:  # noqa: BLE001 - any exception is compared
+        return type(e), str(e)
     return None
 
 
@@ -621,6 +694,19 @@ def test_ideals_match_the_pairwise_sums(ring):
     assert tuple(i.members for i in all_ideals(ring)) == pairwise_ideal_sets(ring)
 
 
+def overring_embedding(model, rng):
+    """Z/2 into a relabelled benchmark target."""
+    target = FiniteRing.from_json(workloads.make_ring(model, rng).doc())
+    return RingEmbedding(zmod(2), target, (target.zero, target.one))
+
+
+def cube_embedding(rng):
+    """Z/3 diagonally into (Z/3)^3, its elements in a random order."""
+    z3 = zmod(3)
+    cube = permuted(product(product(z3, z3), z3), rng)
+    return RingEmbedding.of(z3, cube, {x: f"(({x},{x}),{x})" for x in "012"})
+
+
 def test_intermediate_rings_match_the_pairwise_joins():
     r2 = zmod(2)
     square = product(r2, r2)
@@ -630,7 +716,10 @@ def test_intermediate_rings_match_the_pairwise_joins():
         RingEmbedding.of(r2, square, {"0": "(0,0)", "1": "(1,1)"}),
         RingEmbedding.of(r2, product(square, r2), {"0": "((0,0),0)", "1": "((1,1),1)"}),
     ]
-    for emb in embeddings:
+    large = random.Random(2033)
+    for emb in embeddings + [cube_embedding(large)] + [
+        overring_embedding(m, large) for m in workloads.OVERRING_MODELS if workloads._size(m) == 32
+    ]:
         got = tuple(r.members for r in intermediate_rings(emb))
         assert got == pairwise_intermediate_rings(emb)
     rng = random.Random(2028)
@@ -639,6 +728,70 @@ def test_intermediate_rings_match_the_pairwise_joins():
         for _ in range(20):
             seed = rng.sample(range(ambient.size), 2)
             assert subring_closure(ambient, seed) == fixpoint_subring_closure(ambient, seed)
+
+
+# characteristics 32, 8, 27 and 9: spans where one coset per generator is not enough
+ODD_CHARACTERISTIC = [zmod(32), product(zmod(4), zmod(8)), zmod(27), product(zmod(9), zmod(3))]
+
+
+@pytest.mark.parametrize("ring", ODD_CHARACTERISTIC, ids=lambda r: r.name)
+def test_subring_closure_matches_the_fixpoint_outside_characteristic_2(ring):
+    rng = random.Random(2032)
+    for _ in range(50):
+        ring = permuted(ring, rng)
+        seed = rng.sample(range(ring.size), rng.randint(0, 3))
+        assert subring_closure(ring, seed) == fixpoint_subring_closure(ring, seed)
+
+
+def test_table_checks_name_what_the_entrywise_loops_name():
+    rng = random.Random(2034)
+    rings = SMALL_RINGS + [zmod(33), zmod(64), product(gf(16), zmod(4)), *ODD_CHARACTERISTIC]
+    named = 0
+    for _ in range(800):
+        ring = permuted(rng.choice(rings), rng)
+        n = ring.size
+        add, mul = [list(row) for row in ring.add], [list(row) for row in ring.mul]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            table, i, j = rng.choice((add, mul)), rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.4:
+                table[i][j] = rng.choice((-2, -1, n, n + 1, 2 * n))
+            else:  # changed within range: not commutative unless i == j
+                table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+        add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+        got = raised(FiniteRing, ring.elements, add, mul, ring.zero, ring.one)
+        want = raised(elementwise_table_check, add, mul)
+        if want is None:
+            assert got is None or not re.search("out of range|not commutative", got[1])
+        else:
+            assert got == want
+            named += 1
+    assert named > 600
+
+
+def test_member_checks_name_what_the_elementwise_loops_name():
+    rng = random.Random(2035)
+    rings = SMALL_RINGS + ODD_CHARACTERISTIC
+    verdicts = {(kind, ok): 0 for kind in (Subring, Ideal) for ok in (True, False)}
+    for _ in range(1500):
+        ring = permuted(rng.choice(rings), rng)
+        n = ring.size
+        closed = [i.members for i in all_ideals(ring)]
+        closed.append(subring_closure(ring, rng.sample(range(n), rng.randint(0, 2))))
+        members = set(rng.choice(closed))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            move = rng.random()
+            if move < 0.4:
+                members.add(rng.randrange(n))
+            elif move < 0.8 and members:
+                members.discard(rng.choice(sorted(members)))
+            else:
+                members.add(rng.choice((-1, n, n + 3)))
+        members = frozenset(members)
+        for kind, loop in ((Subring, elementwise_subring_check), (Ideal, elementwise_ideal_check)):
+            want = raised(loop, ring, members)
+            assert raised(kind, ring, members) == want
+            verdicts[kind, want is None] += 1
+    assert min(verdicts.values()) > 150
 
 
 SMALL_RINGS = [zmod(n) for n in range(2, 17)] + [gf(q) for q in (4, 8, 9, 16)] + [

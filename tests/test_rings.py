@@ -410,10 +410,9 @@ class TestIntermediateRings:
         assert {r.members for r in intermediate_rings(emb)} == expect
 
     def test_ambient_cap(self):
-        with pytest.raises(DomainError):
-            intermediate_rings(
-                RingEmbedding.of(zmod(2), zmod(64), {"0": "0", "1": "33"})
-            )
+        emb = RingEmbedding.of(zmod(2), product(gf(4), gf(16)), {"0": "(0,0)", "1": "(1,1)"})
+        with pytest.raises(DomainError, match="capped at 32 ambient elements"):
+            intermediate_rings(emb)
 
 
 class TestOverringSpace:
