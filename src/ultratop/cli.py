@@ -8,13 +8,13 @@ dot`` on JSON-only verbs, adds the ``schema`` and ``verb`` header and writes
 stdout.  The argument parser is built once per process: ``build_parser()``
 returns the shared parser, which parsing leaves unchanged.
 
-Exit codes: 0 on success, 1 on malformed input (bad flags, unreadable files,
-broken JSON, missing keys, fields of the wrong JSON type, conflicting
-inputs), 2 on domain violations (inputs that parse but break a precondition,
-with the violating item named), 3 on internal errors (an invariant of the
-library failed; one line on stderr).  Output is deterministic: identical
-invocations produce identical bytes, and every output carries the schema
-tag v1.
+Exit codes: 0 on success; 1 on ``InputError``, malformed input (bad flags,
+unreadable files, broken JSON, missing keys, fields of the wrong JSON type,
+conflicting inputs); 2 on any other ``DomainError`` (inputs that parse but
+break a precondition, with the violating item named); 3 on any other
+exception, a library bug (one line on stderr, no traceback).  Output is
+deterministic: identical invocations produce identical bytes, and every
+output carries the schema tag v1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .core import (
-    DomainError, SetFamily, UltratopError, _MalformedDocument, _json_field, _json_key, atoms,
-    is_stable, stable_closure,
+    DomainError, InputError, SetFamily, UltratopError, _json_field, _json_key, atoms, is_stable,
+    stable_closure,
 )
 from .rings import (
     FiniteRing, RingEmbedding, _spectrum, intermediate_rings, overring_space, spec_space, zmod,
@@ -45,10 +45,6 @@ from .topology import (
 SCHEMA = "v1"
 
 _Body = dict | str  # a JSON object, or DOT text
-
-
-class InputError(Exception):
-    """Malformed command line or input document; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +66,9 @@ def _read_doc(path: str) -> dict:
                          f"({e.reason})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON in {path!r}: {e}") from e
-    if not isinstance(doc, dict):
-        raise InputError("top-level JSON value must be an object")
-    return doc
+    except (ValueError, RecursionError) as e:  # also nesting too deep, integers too long
+        raise InputError(f"invalid JSON in {path!r}: {e}") from None
+    return _json_field(doc, dict, "the document")
 
 
 class _EncodedSets(list):
@@ -177,19 +171,16 @@ def _cmd_specz_closure(args: argparse.Namespace, doc: None) -> _Body:
 
 def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
     """One entry of ``sets``: ``v_of``, ``d_of`` or an inline subset, never
-    two of them.  A missing key raises a KeyError, and a badly typed field a
-    TypeError, whose message starts with the field's path in the document."""
+    two of them; faults are named by their path, ``sets[i].mode``."""
     _json_field(entry, dict, path)
     given = [key for key in ("v_of", "d_of", "primes", "mode") if key in entry]
     if len(given) > 1 and given != ["primes", "mode"]:
-        raise InputError(f"{path} gives more than one of v_of, d_of and primes/mode")
-    try:
-        for key, locus in (("v_of", v_of), ("d_of", d_of)):
-            if key in entry:
-                return locus(_json_key(entry, key, int))
-        return ZConstructible.from_json(entry)
-    except (KeyError, TypeError) as e:
-        raise type(e)(f"{path}.{e.args[0]}") from None
+        raise InputError(f"malformed input: {path} gives more than one of v_of, d_of and "
+                         "primes/mode")
+    for key, locus in (("v_of", v_of), ("d_of", d_of)):
+        if key in entry:
+            return locus(_json_key(entry, key, int, path + "."))
+    return ZConstructible.from_json(entry, path + ".")
 
 
 def _cmd_specz_fip(args: argparse.Namespace, doc: dict) -> _Body:
@@ -283,18 +274,15 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"{args.verb} supports only --format json")
         path = getattr(args, "input", None)
         body = handler(args, None if path is None else _read_doc(path))
-    except (InputError, _MalformedDocument) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 2
-    except UltratopError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # a library bug, never bad input
+        print(f"internal error: {e if isinstance(e, UltratopError) else repr(e)}", file=sys.stderr)
         return 3
-    except (KeyError, TypeError, ValueError) as e:
-        print(f"error: malformed input: {e!r}", file=sys.stderr)
-        return 1
     if isinstance(body, str):
         sys.stdout.write(f"// ultratop schema {SCHEMA}\n" + body)
     else:

@@ -31,8 +31,9 @@ class DomainError(UltratopError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class _MalformedDocument(DomainError):
-    """A document of the wrong shape; the CLI reports it as malformed input."""
+class InputError(DomainError):
+    """Malformed input: a document of the wrong shape, invalid JSON, a bad flag
+    or conflicting inputs.  The CLI reports it with exit code 1."""
 
 
 _JSON_KINDS = {
@@ -44,12 +45,14 @@ def _json_field(value: _T, kind: type, path: str, item: type | None = None) -> _
     """Pass a JSON document's field through if it has the given kind, and
     if it is a list whose entries all have the kind ``item`` when one is given.
 
-    Otherwise raise a TypeError naming the field or its first bad entry, so
+    Otherwise raise an InputError naming the field or its first bad entry, so
     that a string is never read as a list and a boolean or a float never as
     an integer.  A list of exact items is checked in one pass.
     """
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{path} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+        raise InputError(
+            f"malformed input: {path} must be {_JSON_KINDS[kind]}, not {type(value).__name__}"
+        )
     if item is not None and not set(map(type, value)) <= {item}:
         for i, v in enumerate(value):
             _json_field(v, item, f"{path}[{i}]")
@@ -57,10 +60,13 @@ def _json_field(value: _T, kind: type, path: str, item: type | None = None) -> _
 
 
 def _json_key(doc: dict, key: str, kind: type, at: str = "", item: type | None = None):
-    """The field ``key`` of a JSON object, checked as ``_json_field`` does;
-    a missing key raises a KeyError naming its path, ``at + key``."""
+    """The field ``key`` of a JSON object, checked as ``_json_field`` does.
+    A document that is not an object, or a missing key, raises an InputError
+    naming its path: ``at`` without its final dot, or ``at + key``."""
+    if not isinstance(doc, dict):
+        _json_field(doc, dict, at[:-1] or "the document")
     if key not in doc:
-        raise KeyError(at + key)
+        raise InputError(f"malformed input: missing key {at}{key}")
     return _json_field(doc[key], kind, at + key, item)
 
 
@@ -222,17 +228,13 @@ class SetFamily:
     def from_json(cls, doc: dict, at: str = "") -> "SetFamily":
         """Construction from a JSON document; labels and names are strings, never
         read from a string's characters.  A missing key or a field of another
-        JSON type raises a DomainError naming its path, prefixed by ``at``."""
-        try:
-            labels = _json_key(doc, "carrier", list, at, str)
-            members = []
-            for i, m in enumerate(_json_key(doc, "members", list, at)):
-                path = f"{at}members[{i}]"
-                _json_field(m, dict, path)
-                name = _json_key(m, "name", str, path + ".")
-                members.append((name, frozenset(_json_key(m, "set", list, path + ".", str))))
-        except (KeyError, TypeError) as exc:
-            raise _MalformedDocument(f"malformed family document: {exc}") from exc
+        JSON type raises an InputError naming its path, prefixed by ``at``."""
+        labels = _json_key(doc, "carrier", list, at, str)
+        members = []
+        for i, m in enumerate(_json_key(doc, "members", list, at)):
+            path = f"{at}members[{i}]."
+            members.append((_json_key(m, "name", str, path),
+                            frozenset(_json_key(m, "set", list, path, str))))
         return cls(Carrier.of(labels), tuple(members))
 
 

@@ -87,11 +87,10 @@ class FiniteRing:
     @classmethod
     def from_json(cls, doc: dict, name: str = "") -> "FiniteRing":
         """Construction from a JSON document; nothing is coerced.  A missing
-        key raises a KeyError and a badly typed field a TypeError, each naming
-        the field, prefixed by the ring's name when it has one
-        (``source.elements``, ``target.add[3]``)."""
+        key or a badly typed field raises an InputError naming the field,
+        prefixed by the ring's name when it has one (``source.elements``,
+        ``target.add[3]``)."""
         at = f"{name}." if name else ""
-        _json_field(doc, dict, name or "ring")
 
         def table(key: str) -> tuple[tuple[int, ...], ...]:
             return tuple(

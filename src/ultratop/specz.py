@@ -196,23 +196,20 @@ class ZSubsetDescriptor:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ZSubsetDescriptor":
+    def from_json(cls, doc: dict, at: str = "") -> "ZSubsetDescriptor":
         """Validated construction from a JSON document: ``mode`` a string,
         ``primes`` a list of integers, ``generic`` a boolean (the field's
-        default if absent).  A missing ``mode`` or ``primes`` raises a
-        KeyError, and a field of another JSON type a TypeError, naming it."""
-        mode = _json_key(doc, "mode", str)
+        default if absent).  A missing ``mode`` or ``primes``, or a field of
+        another JSON type, raises an InputError naming its path, prefixed by
+        ``at``; an unknown mode is a DomainError naming its path too."""
+        mode = _json_key(doc, "mode", str, at)
         if mode not in ("finite", "cofinite"):
-            raise DomainError(f"unknown mode {mode!r}")
+            raise DomainError(f"unknown mode {mode!r} at {at}mode")
         generic = doc.get("generic", cls.generic)
         if "generic" in doc:
-            _json_field(generic, bool, "generic")
-        primes = _json_key(doc, "primes", list)
-        return cls(
-            frozenset(_json_field(p, int, f"primes[{i}]") for i, p in enumerate(primes)),
-            mode == "cofinite",
-            generic,
-        )
+            _json_field(generic, bool, at + "generic")
+        primes = _json_key(doc, "primes", list, at, int)
+        return cls(frozenset(primes), mode == "cofinite", generic)
 
 
 @dataclass(frozen=True)
@@ -270,10 +267,10 @@ class ZConstructible(ZSubsetDescriptor):
     __or__, __and__, __invert__ = union, intersect, complement
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ZConstructible":
+    def from_json(cls, doc: dict, at: str = "") -> "ZConstructible":
         """As for descriptors; a ``generic`` that differs from the mode is
         refused, and a missing one follows the mode."""
-        return super().from_json(doc)
+        return super().from_json(doc, at)
 
 
 def v_of(n: int) -> ZConstructible:

@@ -11,7 +11,9 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratop import UltratopError, gf, product, zmod
+from ultratop import (
+    DomainError, FiniteRing, FinSpace, SetFamily, UltratopError, ZConstructible, gf, product, zmod,
+)
 from ultratop import cli, rings
 from ultratop.cli import main
 
@@ -105,6 +107,23 @@ class TestExitCodes:
             gc.collect()
         assert (code, err) == (0, "")
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"carrier": ["a"], "members": ' + "[" * 100000 + "]" * 100000 + "}",
+             "maximum recursion depth exceeded"),
+            ('{"carrier": ["a"], "members": [' + "9" * 5000 + "]}", "Exceeds the limit ("),
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_unparsable_json_is_one_line(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "doc.json"
+        path.write_text(text)  # json.dumps cannot build the nested case
+        assert main(["atoms", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
+        assert out.err.startswith(f"error: invalid JSON in {str(path)!r}: {reason}")
 
     def test_non_utf8_file_is_one_short_line(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -234,6 +253,40 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert path in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "verb, doc, line",
+        [
+            ("atoms", {"carrier": ["a"]}, "missing key members"),
+            ("atoms", {"carrier": ["a"], "members": [{"name": "F0", "set": "a"}]},
+             "members[0].set must be a list, not str"),
+            ("closure", {"family": {"carrier": ["a"]}, "set": []}, "missing key family.members"),
+            ("closure", {"family": {"carrier": "a", "members": []}, "set": []},
+             "family.carrier must be a list, not str"),
+            ("check-spectral", {"carrier": ["a"]}, "missing key closed"),
+            ("check-spectral", {"carrier": ["a"], "closed": "a"}, "closed must be a list, not str"),
+            ("spec", {k: v for k, v in Z2_DOC.items() if k != "one"}, "missing key one"),
+            ("spec", {**Z2_DOC, "zero": 0.5}, "zero must be an integer, not float"),
+            ("spec", [Z2_DOC], "the document must be an object, not list"),
+            ("overrings", {**EMBEDDING_DOC, "source": {"elements": ["0", "1"]}},
+             "missing key source.add"),
+            ("overrings", {**EMBEDDING_DOC, "target": {**Z2_DOC, "add": [[0, 1], [1, "0"]]}},
+             "target.add[1][1] must be an integer, not str"),
+            ("specz-fip", {"sets": [{"v_of": 6}, {"primes": [2]}]}, "missing key sets[1].mode"),
+            ("specz-fip", {"sets": [{"primes": "23", "mode": "finite"}]},
+             "sets[0].primes must be a list, not str"),
+            ("specz-fip", {"sets": [{"v_of": 6, "d_of": 5}]},
+             "sets[0] gives more than one of v_of, d_of and primes/mode"),
+        ],
+    )
+    def test_malformed_document_line(self, tmp_path, capsys, verb, doc, line):
+        code, out, err = run_file(tmp_path, capsys, verb, doc)
+        assert (code, out, err) == (1, "", f"error: malformed input: {line}\n")
+
+    def test_unknown_mode_names_its_entry(self, tmp_path, capsys):
+        doc = {"sets": [{"primes": [2], "mode": "x"}]}
+        code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)
+        assert (code, out, err) == (2, "", "domain error: unknown mode 'x' at sets[0].mode\n")
+
     @pytest.mark.parametrize("ring, key", [("source", "elements"), ("target", "one")])
     def test_missing_ring_key_names_the_ring(self, tmp_path, capsys, ring, key):
         doc = {**EMBEDDING_DOC, ring: {k: v for k, v in EMBEDDING_DOC[ring].items() if k != key}}
@@ -284,15 +337,27 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "not both" in err
 
-    def test_internal_error_is_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (UltratopError("internal: a prime ideal is not maximal"),
+             "internal: a prime ideal is not maximal"),
+            (KeyError("one"), "KeyError('one')"),
+            (TypeError("unhashable type: 'list'"), 'TypeError("unhashable type: \'list\'")'),
+            (ValueError("tuple.index(x): x not in tuple"),
+             "ValueError('tuple.index(x): x not in tuple')"),
+        ],
+        ids=["UltratopError", "KeyError", "TypeError", "ValueError"],
+    )
+    def test_internal_error_is_three(self, capsys, monkeypatch, exc, line):
         def broken(ring):
-            raise UltratopError("internal: a prime ideal is not maximal")
+            raise exc
 
         monkeypatch.setattr(cli, "spec_space", broken)
         assert main(["spec", "--zmod", "6"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "internal error: internal: a prime ideal is not maximal\n"
+        assert out.err == f"internal error: {line}\n"
 
     def test_unchecked_ring_laws_end_in_one_line(self, tmp_path, capsys):
         # the ring laws are checked at every size, up to the 64-element cap
@@ -357,6 +422,20 @@ class TestFuzz:
         if code:
             assert out == ""
         assert len(err.splitlines()) == (code != 0)
+
+    @settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+    @given(mutated_documents())
+    def test_readers_return_or_raise_domain_errors(self, case):
+        """Every document reader, given any value inside a mutated document,
+        returns or raises a DomainError; never a bare KeyError or TypeError."""
+        _, doc = case
+        for value in [doc, *(container[key] for container, key in _slots(doc))]:
+            for read in (SetFamily.from_json, FinSpace.from_json, FiniteRing.from_json,
+                         ZConstructible.from_json):
+                try:
+                    read(value)
+                except DomainError:
+                    pass
 
 
 class TestVerbs:
