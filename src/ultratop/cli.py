@@ -171,7 +171,7 @@ def _cmd_specz_closure(args: argparse.Namespace, doc: None) -> _Body:
 
 def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
     """One entry of ``sets``: ``v_of``, ``d_of`` or an inline subset, never
-    two of them; faults are named by their path, ``sets[i].mode``."""
+    two of them; faults are named by their path, ``sets[i].mode`` or ``sets[i]``."""
     _json_field(entry, dict, path)
     given = [key for key in ("v_of", "d_of", "primes", "mode") if key in entry]
     if len(given) > 1 and given != ["primes", "mode"]:
@@ -179,7 +179,11 @@ def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
                          "primes/mode")
     for key, locus in (("v_of", v_of), ("d_of", d_of)):
         if key in entry:
-            return locus(_json_key(entry, key, int, path + "."))
+            n = _json_key(entry, key, int, path + ".")
+            try:
+                return locus(n)
+            except DomainError as e:
+                raise DomainError(f"{e} at {path}") from None
     return ZConstructible.from_json(entry, path + ".")
 
 

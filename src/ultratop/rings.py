@@ -5,14 +5,16 @@ Rings are deliberately small: operation tables are capped at 64 elements,
 every ring law is checked on load, and subring enumeration is capped at a
 32-element ambient ring.  Checks compare whole table rows, and run the
 element-by-element loop only to name the first offender once a row check
-fails.  Subrings are spanned from generators (docs/theory_notes.md, section 5).
+fails.  Primes and ideals are read off the primitive idempotents under a
+checked certificate, and cached on each ring; subrings are spanned from
+generators (docs/theory_notes.md, sections 4 and 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import cached_property, reduce, wraps
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -74,6 +76,20 @@ class FiniteRing:
                     todo = {self.add[g][s] for g in gens for s in todo} - reached
                     reached |= todo
         return tuple(gens)
+
+    @cached_property
+    def _nilpotents(self) -> frozenset[int]:
+        """The x with x^(2^k) = 0 for 2^k >= n: a nilpotent's powers are distinct until 0."""
+        powers = range(self.size)
+        for _ in range((self.size - 1).bit_length()):
+            powers = [self.mul[x][x] for x in powers]
+        return frozenset(x for x, p in enumerate(powers) if p == self.zero)
+
+    @cached_property
+    def _primitive_idempotents(self) -> tuple[int, ...]:
+        """The nonzero e = e^2 above no other nonzero idempotent f (e*f = f)."""
+        idem = [e for e in range(self.size) if self.mul[e][e] == e != self.zero]
+        return tuple(e for e in idem if all(self.mul[e][f] in (self.zero, e) for f in idem))
 
     def to_json(self) -> dict:
         return {
@@ -323,10 +339,6 @@ class RingEmbedding(RingHom):
         if not self.is_injective:
             raise DomainError("embedding must be injective")
 
-    @cached_property
-    def _intermediate(self) -> tuple["Subring", ...]:
-        return _intermediate_rings(self)
-
 
 @dataclass(frozen=True)
 class Ideal:
@@ -370,78 +382,84 @@ def principal_ideal(ring: FiniteRing, element: str | int) -> Ideal:
     return Ideal(ring, frozenset(ring.mul[r][x] for r in range(ring.size)))
 
 
-@lru_cache(maxsize=None)
+def _per_instance(build):
+    """Cache ``build(obj)`` in the object's own ``__dict__``, as a ``cached_property`` does."""
+    cache = cached_property(build)
+    cache.__set_name__(None, build.__name__)
+    return wraps(build)(lambda obj: cache.__get__(obj))
+
+
+def _by_size(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
+
+
+@_per_instance
 def _ideal_sets(ring: FiniteRing) -> tuple[frozenset[int], ...]:
-    """Every ideal, generated as the join closure of the principal ideals."""
-    principal = {
-        frozenset(ring.mul[r][x] for r in range(ring.size))
-        for x in range(ring.size)
-    }
-    found = _join_closure(
-        principal, lambda a, b: frozenset(ring.add[i][j] for i in a for j in b)
-    )
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+    """Every ideal: one ideal of each factor e*R, each the join of principal ideals, summed."""
+    _prime_sets(ring)  # certifies that R is the product of the factors
+    sums = [frozenset({ring.zero})]
+    for e in ring._primitive_idempotents:
+        principal = {frozenset(ring.mul[x]) for x in ring.mul[e]}
+        factor = _join_closure(principal, lambda a, b: _span(ring, a, b, {}))
+        sums = [_span(ring, a, b, {}) for a in sums for b in factor]
+    return _by_size(sums)
 
 
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """All ideals, sorted by size then content."""
+    """All ideals by size then content: the sums of ideals of the local factors."""
     return tuple(Ideal(ring, s) for s in _ideal_sets(ring))
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def _prime_sets(ring: FiniteRing) -> tuple[frozenset[int], ...]:
-    n = ring.size
-    whole = frozenset(range(n))
+    """m_e = {x : x*e nilpotent} per primitive idempotent e, certified: the e are orthogonal
+    with sum one, each m_e is an ideal, and the units mod m_e are the x outside m_e."""
+    n, add, mul, one = ring.size, ring.add, ring.mul, ring.one
+    es = ring._primitive_idempotents
+    if reduce(lambda s, e: add[s][e], es, ring.zero) != one or any(
+            mul[e][f] != ring.zero for e, f in combinations(es, 2)):
+        raise UltratopError("internal: the primitive idempotents are not orthogonal with sum one")
     primes = []
-    for members in _ideal_sets(ring):
-        if members == whole:
-            continue
-        if all(
-            ring.mul[a][b] not in members or a in members or b in members
-            for a in range(n)
-            for b in range(n)
-        ):
-            primes.append(members)
-    # finite commutative rings are zero dimensional: primes must be maximal
-    for p in primes:
-        for other in _ideal_sets(ring):
-            if p < other < whole:
-                raise UltratopError("internal: a prime ideal is not maximal")
-    return tuple(primes)
+    for e in es:
+        m = frozenset(x for x in range(n) if mul[e][x] in ring._nilpotents)
+        try:
+            Ideal(ring, m)
+        except DomainError as err:
+            raise UltratopError(f"internal: {{x : x*e nilpotent}}: {err}") from None
+        units = {add[one][y] for y in m}  # 1 + m
+        if {x for x in range(n) if not units.isdisjoint(mul[x])} != set(range(n)) - m:
+            raise UltratopError("internal: the quotient by {x : x*e nilpotent} is not a field")
+        primes.append(m)
+    return _by_size(primes)
 
 
 def prime_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """All prime ideals; in a finite commutative ring these are the maximal
-    ideals, and that is re-checked on every call."""
+    """All prime ideals: one maximal m_e = {x : x*e nilpotent} per primitive idempotent e,
+    each certified once per ring to have a field as quotient."""
     return tuple(Ideal(ring, s) for s in _prime_sets(ring))
 
 
-@lru_cache(maxsize=None)
+@_per_instance
 def _spectrum(ring: FiniteRing) -> tuple[tuple[str, frozenset[int]], ...]:
-    """(label, member set) per prime, labeled by a principal generator when
-    one exists and by the member list otherwise."""
+    """(label, member set) per prime, labeled by its first principal generator
+    in index order when one exists and by the member list otherwise."""
     pairs = []
-    for members in _prime_sets(ring):
-        x = next((x for x in range(ring.size)
-                  if frozenset(ring.mul[r][x] for r in range(ring.size)) == members), None)
-        if x is None:
-            label = "{" + ",".join(ring.elements[i] for i in sorted(members)) + "}"
-        else:
-            label = f"({ring.elements[x]})"
-        pairs.append((label, members))
+    for members in _prime_sets(ring):  # x*R has n / |Ann(x)| elements, all in the prime
+        x = next((x for x in sorted(members)
+                  if ring.mul[x].count(ring.zero) * len(members) == ring.size), None)
+        pairs.append((f"({ring.elements[x]})" if x is not None else
+                      "{" + ",".join(ring.elements[i] for i in sorted(members)) + "}", members))
     return tuple(sorted(pairs))
 
 
 def spec_space(ring: FiniteRing) -> FinSpace:
-    """The prime spectrum, closed sets being the vanishing loci of ideals."""
+    """The prime spectrum, discrete: the primes are maximal and pairwise comaximal,
+    so the vanishing loci of the ideals, its closed sets, are all sets of primes."""
     spectrum = _spectrum(ring)
     if not spectrum:
         raise DomainError("the zero ring has an empty spectrum")
-    closed = [
-        frozenset(label for label, mem in spectrum if ideal_members <= mem)
-        for ideal_members in _ideal_sets(ring)
-    ]
-    return FinSpace.from_closed(Carrier.of(label for label, _ in spectrum), closed)
+    return FinSpace._of_closures(Carrier.of(label for label, _ in spectrum),
+                                 (1 << i for i in range(len(spectrum))))
 
 
 def vanishing_set(ring: FiniteRing, element: str) -> frozenset[str]:
@@ -452,35 +470,18 @@ def vanishing_set(ring: FiniteRing, element: str) -> frozenset[str]:
 
 def principal_open_family(ring: FiniteRing) -> SetFamily:
     """The family of principal opens D_f; checked to be a basis."""
-    spectrum = _spectrum(ring)
-    if not spectrum:
-        raise DomainError("the zero ring has an empty spectrum")
-    carrier = Carrier.of(label for label, _ in spectrum)
-    members = tuple(
-        (
-            f"D_{ring.elements[x]}",
-            frozenset(label for label, mem in spectrum if x not in mem),
-        )
-        for x in range(ring.size)
-    )
-    family = SetFamily(carrier, members)
-    # every open is the union of the minimal opens of its points, so it is
-    # enough that each minimal open is a union of principal opens
-    space = spec_space(ring)
-    for i in range(len(carrier)):
-        u = space.minimal_open_mask(i)
-        union = 0
-        for m in family.masks:
-            if not m & ~u:
-                union |= m
-        if union != u:
-            raise UltratopError("internal: principal opens failed to form a basis")
+    space, spectrum = spec_space(ring), _spectrum(ring)
+    family = SetFamily(space.carrier, tuple(
+        (f"D_{ring.elements[x]}", frozenset(label for label, mem in spectrum if x not in mem))
+        for x in range(ring.size)))
+    # every open is the union of the minimal opens of its points, and a principal
+    # open inside a point's minimal open that holds the point is that open
+    if not {space.minimal_open_mask(i) for i in range(len(space.carrier))} <= set(family.masks):
+        raise UltratopError("internal: principal opens failed to form a basis")
     return family
 
 
-def ultrafilter_prime(
-    ring: FiniteRing, ultra: PrincipalUltrafilter
-) -> Ideal:
+def ultrafilter_prime(ring: FiniteRing, ultra: PrincipalUltrafilter) -> Ideal:
     """The prime ideal of elements whose vanishing locus is large on the base.
 
     The base must be a set of points of the spectrum; the result is checked
@@ -488,17 +489,11 @@ def ultrafilter_prime(
     ultrafilter it is exactly the prime at the generating point.
     """
     spectrum = _spectrum(ring)
-    labels = frozenset(label for label, _ in spectrum)
-    if not ultra.base <= labels:
+    if not ultra.base <= {label for label, _ in spectrum}:
         raise DomainError("ultrafilter base must consist of spectrum points")
-    members = frozenset(
-        x
-        for x in range(ring.size)
-        if ultra.contains(
-            frozenset(label for label, mem in spectrum if x in mem) & ultra.base
-        )
-    )
-    return Ideal(ring, members)
+    return Ideal(ring, frozenset(
+        x for x in range(ring.size)
+        if ultra.contains(frozenset(label for label, mem in spectrum if x in mem) & ultra.base)))
 
 
 @dataclass(frozen=True)
@@ -581,9 +576,10 @@ def _span(
     return span
 
 
+@_per_instance
 def intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
     """All subrings of the target containing the image, by size then content."""
-    return emb._intermediate
+    return _intermediate_rings(emb)
 
 
 def _intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
@@ -604,7 +600,7 @@ def _intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
     extensions = {join(image, _subring(ambient, {b}, basis))
                   for b in range(ambient.size) if b not in image}
     rings = _join_closure([image, *extensions], join)
-    return tuple(Subring(ambient, s) for s in sorted(rings, key=lambda s: (len(s), sorted(s))))
+    return tuple(Subring(ambient, s) for s in _by_size(rings))
 
 
 def overring_family(emb: RingEmbedding) -> SetFamily:
@@ -748,16 +744,11 @@ def is_integrally_closed_in(subring: Subring) -> IntegralClosureReport:
 def spec_functor(hom: RingHom) -> dict[str, str]:
     """Contract primes along a homomorphism: a prime of the target pulls back
     to a prime of the source, giving a map Spec(target) -> Spec(source)."""
-    source_spectrum = _spectrum(hom.source)
+    primes = {members: label for label, members in _spectrum(hom.source)}
     out: dict[str, str] = {}
     for qlabel, qmembers in _spectrum(hom.target):
-        pre = frozenset(
-            a for a in range(hom.source.size) if hom.mapping[a] in qmembers
-        )
-        for plabel, pmembers in source_spectrum:
-            if pmembers == pre:
-                out[qlabel] = plabel
-                break
-        else:
+        pre = frozenset(a for a in range(hom.source.size) if hom.mapping[a] in qmembers)
+        if pre not in primes:
             raise UltratopError("internal: contraction of a prime is not prime")
+        out[qlabel] = primes[pre]
     return out

@@ -201,7 +201,8 @@ class ZSubsetDescriptor:
         ``primes`` a list of integers, ``generic`` a boolean (the field's
         default if absent).  A missing ``mode`` or ``primes``, or a field of
         another JSON type, raises an InputError naming its path, prefixed by
-        ``at``; an unknown mode is a DomainError naming its path too."""
+        ``at``; an unknown mode is a DomainError naming its path, and a listed
+        non-prime one naming the document, ``at`` without its final dot."""
         mode = _json_key(doc, "mode", str, at)
         if mode not in ("finite", "cofinite"):
             raise DomainError(f"unknown mode {mode!r} at {at}mode")
@@ -209,7 +210,10 @@ class ZSubsetDescriptor:
         if "generic" in doc:
             _json_field(generic, bool, at + "generic")
         primes = _json_key(doc, "primes", list, at, int)
-        return cls(frozenset(primes), mode == "cofinite", generic)
+        try:
+            return cls(frozenset(primes), mode == "cofinite", generic)
+        except DomainError as e:
+            raise DomainError(f"{e} at {at[:-1]}" if at else str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,7 @@ class ZConstructible(ZSubsetDescriptor):
     @classmethod
     def from_json(cls, doc: dict, at: str = "") -> "ZConstructible":
         """As for descriptors; a ``generic`` that differs from the mode is
-        refused, and a missing one follows the mode."""
+        refused, naming the document as well, and a missing one follows the mode."""
         return super().from_json(doc, at)
 
 

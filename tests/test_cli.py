@@ -287,6 +287,22 @@ class TestExitCodes:
         code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)
         assert (code, out, err) == (2, "", "domain error: unknown mode 'x' at sets[0].mode\n")
 
+    @pytest.mark.parametrize(
+        "entry, line",
+        [
+            ({"primes": [4], "mode": "finite"}, "4 is not a prime number at sets[1]"),
+            ({"primes": [2], "mode": "finite", "generic": True},
+             "a constructible set contains the generic point exactly when it is cofinite"
+             " at sets[1]"),
+            ({"d_of": 10**13}, "factorization inputs are capped at 1000000000000 at sets[1]"),
+        ],
+        ids=["composite", "generic", "factor-cap"],
+    )
+    def test_domain_errors_name_their_entry(self, tmp_path, capsys, entry, line):
+        doc = {"sets": [{"v_of": 6}, entry, {"primes": [3], "mode": "finite"}]}
+        code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)
+        assert (code, out, err) == (2, "", f"domain error: {line}\n")
+
     @pytest.mark.parametrize("ring, key", [("source", "elements"), ("target", "one")])
     def test_missing_ring_key_names_the_ring(self, tmp_path, capsys, ring, key):
         doc = {**EMBEDDING_DOC, ring: {k: v for k, v in EMBEDDING_DOC[ring].items() if k != key}}

@@ -19,7 +19,10 @@ Subrings, which the library spans from generators, are closed here under
 every pair until nothing changes, also in characteristics 8, 9, 27 and 32,
 where a span takes more than one coset per generator.  The table, subring
 and ideal checks, which the library runs on whole rows, are compared message
-for message with the element-wise loops below.
+for message with the element-wise loops below.  Prime ideals, which the
+library reads off the primitive idempotents, are found here by the prime
+test on every pair of elements, run on every ideal of the pairwise-sum
+lattice, and a prime's label by scanning the whole ring for a generator.
 """
 
 import ast
@@ -60,6 +63,7 @@ from ultratop import (
     is_spectral,
     is_stable,
     limit_set,
+    prime_ideals,
     patch_topology,
     poset_to_space,
     prime_factors,
@@ -72,6 +76,7 @@ from ultratop import (
     zmod,
 )
 from ultratop.core import _join_closure
+from ultratop.rings import _spectrum
 from conftest import random_family
 from test_cli import call_main
 from test_rings import f2_into_f16, f4_into_f16
@@ -242,6 +247,32 @@ def pairwise_ideal_sets(ring):
         principal, lambda a, b: frozenset(ring.add[i][j] for i in a for j in b)
     )
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def pairwise_prime_sets(ring):
+    """The proper ideals that pass the prime test on all n^2 pairs, each
+    checked to be maximal against the whole ideal lattice."""
+    n, whole, ideals = ring.size, frozenset(range(ring.size)), pairwise_ideal_sets(ring)
+    primes = [
+        m for m in ideals
+        if m != whole and all(ring.mul[a][b] not in m or a in m or b in m
+                              for a in range(n) for b in range(n))
+    ]
+    assert not any(p < other < whole for p in primes for other in ideals), "a prime is not maximal"
+    return tuple(primes)
+
+
+def scanned_spectrum(ring):
+    """(label, members) per prime, labeled by the first element of the whole
+    ring whose principal ideal is the prime, else by the member list."""
+    pairs = []
+    for members in pairwise_prime_sets(ring):
+        x = next((x for x in range(ring.size)
+                  if frozenset(ring.mul[r][x] for r in range(ring.size)) == members), None)
+        label = ("{" + ",".join(ring.elements[i] for i in sorted(members)) + "}" if x is None
+                 else f"({ring.elements[x]})")
+        pairs.append((label, members))
+    return tuple(sorted(pairs))
 
 
 def fixpoint_subring_closure(ambient, seed):
@@ -692,6 +723,45 @@ RINGS = [zmod(n) for n in range(2, 65)] + [
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_ideals_match_the_pairwise_sums(ring):
     assert tuple(i.members for i in all_ideals(ring)) == pairwise_ideal_sets(ring)
+
+
+def assert_spectrum_matches_the_pair_scan(ring):
+    spectrum = scanned_spectrum(ring)
+    assert _spectrum(ring) == spectrum, ring.name
+    assert tuple(i.members for i in prime_ideals(ring)) == tuple(
+        sorted((m for _, m in spectrum), key=lambda s: (len(s), sorted(s))))
+    assert tuple(i.members for i in all_ideals(ring)) == pairwise_ideal_sets(ring), ring.name
+
+
+def test_spectra_of_the_benchmark_rings_match_the_pair_scan():
+    rng = random.Random(2041)
+    for model in workloads.SPEC_MODELS:
+        assert_spectrum_matches_the_pair_scan(
+            FiniteRing.from_json(workloads.make_ring(model, rng).doc(), name=str(model)))
+
+
+# Z/2[x]/(x^2): a + b*x is stored as a + 2b
+DUAL_NUMBERS = FiniteRing(
+    ("0", "1", "x", "1+x"),
+    tuple(tuple(i ^ j for j in range(4)) for i in range(4)),
+    tuple(tuple((i & j & 1) | (((i & 1) * (j >> 1) ^ (i >> 1) * (j & 1)) << 1) for j in range(4))
+          for i in range(4)),
+    0, 1, name="Z/2[x]/(x^2)",
+)
+
+
+def test_spectra_of_products_of_local_rings_match_the_pair_scan():
+    """Local rings that are not fields: nilpotents in every factor."""
+    local = [zmod(4), zmod(8), zmod(9), DUAL_NUMBERS]
+    rng = random.Random(2042)
+    for _ in range(40):
+        ring = rng.choice(local)
+        while rng.random() < 0.8:
+            more = [c for c in local if ring.size * c.size <= 64]
+            if not more:
+                break
+            ring = product(ring, rng.choice(more))
+        assert_spectrum_matches_the_pair_scan(permuted(ring, rng))
 
 
 def overring_embedding(model, rng):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -37,6 +38,8 @@ from ultratop import (
     vanishing_set,
     zmod,
 )
+from ultratop import core, rings
+from test_cli import call_main
 
 
 def divisors(n):
@@ -262,6 +265,70 @@ class TestSpecSpace:
         assert by_name["D_0"] == frozenset()
         assert by_name["D_2"] == frozenset({"(3)"})
         assert by_name["D_3"] == frozenset({"(2)"})
+
+
+class TestSpectrumFromIdempotents:
+    """Primes are read off the primitive idempotents and certified; no ideal
+    lattice is built, and each ring keeps its own spectrum."""
+
+    @staticmethod
+    def sixth_power():
+        ring = zmod(2)
+        for _ in range(5):
+            ring = product(ring, zmod(2))
+        return FiniteRing.from_json(ring.to_json())
+
+    def test_spectrum_builds_no_ideal_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an ideal lattice was built")
+
+        for module, name in ((core, "_join_closure"), (rings, "_join_closure"),
+                             (rings, "_ideal_sets")):
+            monkeypatch.setattr(module, name, refuse)
+        fresh = self.sixth_power  # a ring with nothing cached yet
+        for extra in ([], ["--format", "dot"]):
+            code, out, err = call_main(["spec", "-", *extra], fresh().to_json())
+            assert (code, err) == (0, "")
+        assert "->" not in out and len(out.splitlines()) == 10  # 6 points, 4 other lines
+        assert len(prime_ideals(fresh())) == 6
+        ring = fresh()
+        assert len(vanishing_set(ring, ring.elements[ring.zero])) == 6
+        ring = fresh()
+        assert len(spec_functor(RingHom(ring, ring, tuple(range(ring.size))))) == 6
+        assert len(principal_open_family(fresh()).members) == 64
+        label, members = rings._spectrum(fresh())[0]
+        ultra = PrincipalUltrafilter.at(label, [label])
+        assert ultrafilter_prime(fresh(), ultra).members == members
+
+    @pytest.mark.parametrize(
+        "attr, wrong",
+        [
+            ("_nilpotents", frozenset({0})),  # 6 is nilpotent in Z/12
+            ("_nilpotents", frozenset()),
+            ("_nilpotents", frozenset(range(12))),
+            ("_primitive_idempotents", (1,)),  # 1 = 4 + 9 is not primitive
+            ("_primitive_idempotents", (4,)),
+            ("_primitive_idempotents", (4, 9, 9)),
+        ],
+    )
+    def test_a_failed_certificate_is_an_internal_error(self, monkeypatch, attr, wrong):
+        monkeypatch.setattr(FiniteRing, attr, property(lambda ring: wrong))
+        code, out, err = call_main(["spec", "--zmod", "12"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_the_certificate_holds_on_z12(self):
+        ring = zmod(12)
+        assert ring._nilpotents == frozenset({0, 6})
+        assert ring._primitive_idempotents == (4, 9)
+
+    def test_no_module_cache_keeps_a_ring(self):
+        for compute in (spec_space, prime_ideals, all_ideals, principal_open_family):
+            ring = product(zmod(4), zmod(6))
+            compute(ring)
+            ref = weakref.ref(ring)
+            del ring
+            assert ref() is None, compute.__name__
 
 
 class TestUltrafilterPrime:

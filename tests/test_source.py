@@ -5,7 +5,8 @@ The source parses as the oldest Python that pyproject.toml allows.
 version, such as ``except*`` or type parameter lists.  It checks syntax only:
 a library call that needs a newer Python (an argument that became optional
 later, a function added later) still passes, so this test does not stand in
-for running the suite on that Python.
+for running the suite on that Python.  So the CLI also runs under that
+Python, when one is installed here, and must print what it prints in process.
 
 Every ``raise`` raises an ``UltratopError``, so that any other exception
 reaching the CLI is a library bug and exits 3.
@@ -13,13 +14,20 @@ reaching the CLI is a library bug and exits 3.
 
 import ast
 import builtins
+import functools
 import importlib
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ultratop import UltratopError
+from ultratop import UltratopError, product, zmod
+from test_cli import VALID, call_main
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ultratop").glob("*.py"))
@@ -34,6 +42,47 @@ def oldest_python() -> tuple[int, int]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_as_the_oldest_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest_python())
+
+
+@functools.cache
+def oldest_interpreter() -> str | None:
+    """A working ``pythonX.Y`` of the oldest allowed version: on PATH first,
+    then in the installs beside the running interpreter's (as pyenv keeps
+    them).  A candidate counts only once it runs and reports that version."""
+    version = oldest_python()
+    name = "python%d.%d" % version
+    candidates = [shutil.which(name), *sorted(Path(sys.base_prefix).parent.glob(f"*/bin/{name}"))]
+    for path in filter(None, candidates):
+        try:
+            run = subprocess.run([str(path), "-c", "import sys; print(*sys.version_info[:2])"],
+                                 capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if run.returncode == 0 and run.stdout.split() == [str(v) for v in version]:
+            return str(path)
+    return None
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["spec", "--zmod", "12"], None),
+        (["spec", "-"], product(zmod(4), zmod(6)).to_json()),
+        (["patch", "-"], VALID["patch"]),
+        (["ultra-topology", "-"], VALID["ultra-topology"]),
+        (["overrings", "-"], VALID["overrings"]),
+    ],
+    ids=["spec-zmod", "spec-product", "patch", "ultra-topology", "overrings"],
+)
+def test_cli_prints_the_same_on_the_oldest_python(argv, doc):
+    python = oldest_interpreter()
+    if python is None:
+        pytest.skip("no working python%d.%d found on PATH or beside this interpreter"
+                    % oldest_python())
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([python, "-m", "ultratop.cli", *argv], capture_output=True, text=True,
+                         input="" if doc is None else json.dumps(doc), env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == call_main(argv, doc)
 
 
 # (module, function, exception) raised on purpose outside UltratopError
