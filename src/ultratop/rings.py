@@ -405,6 +405,7 @@ def _ideal_sets(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     return _by_size(sums)
 
 
+@_per_instance
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """All ideals by size then content: the sums of ideals of the local factors."""
     return tuple(Ideal(ring, s) for s in _ideal_sets(ring))
@@ -433,6 +434,7 @@ def _prime_sets(ring: FiniteRing) -> tuple[frozenset[int], ...]:
     return _by_size(primes)
 
 
+@_per_instance
 def prime_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """All prime ideals: one maximal m_e = {x : x*e nilpotent} per primitive idempotent e,
     each certified once per ring to have a field as quotient."""

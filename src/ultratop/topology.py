@@ -6,21 +6,23 @@ in the closure of x), its closed sets are exactly the unions of point
 closures, and its smallest open around a point is the up-set of that point.
 So every construction and query costs polynomial time in the number of
 points.  The closed sets are an output format, listed only when asked for,
-only up to ``MAX_CLOSED_SETS`` of them, sorted by one integer key of each
-mask and spelled out through one table of label runs per 4 points.
+only up to ``MAX_CLOSED_SETS`` of them, as unions of bit-reversed point
+closures, sorted twice in C and spelled out from label tables per 6 points.
 
 A space built with the plain constructor is trusted to satisfy the topology
 axioms (internal constructions are correct by construction);
 ``FinSpace.from_closed`` validates untrusted input and is what the JSON
-loaders use.  The round trip between finite T0 spaces and finite posets is
-exact.
+loaders use (one union-equality check; slower checks name a fault).  The
+round trip between finite T0 spaces and finite posets is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add, and_, or_, rshift
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -31,8 +33,6 @@ from .core import (
 # them (the discrete one), so the sweep that lists them stops with a
 # DomainError once it passes this many.
 MAX_CLOSED_SETS = 1 << 16
-# byte b with its bits in reverse order, for the listing's sort key
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class NotT0Error(DomainError):
@@ -56,12 +56,17 @@ def _meets_at_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _listing_key(carrier: Carrier) -> Callable[[int], int]:
-    """Sort key of masks by size, then sorted labels: of two sets of one size the
-    one with the larger bit-reversed mask comes first.  Bits past the carrier are ignored."""
-    full, size = carrier.full_mask, (len(carrier) + 7) // 8
-    return lambda m: ((m & full).bit_count() << 8 * size) - int.from_bytes(
-        (m & full).to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+def _unions(masks: Iterable[int], bound: int | None = None) -> set[int] | None:
+    """The unions of the masks, the empty one included; None past ``bound`` of
+    them, and with no bound a DomainError past ``MAX_CLOSED_SETS`` of them."""
+    out = {0}
+    for m in set(masks):
+        out |= {o | m for o in out}
+        if len(out) > (MAX_CLOSED_SETS if bound is None else bound):
+            if bound is None:
+                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
+            return None
+    return out
 
 
 def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
@@ -100,7 +105,18 @@ class FinSpace:
         """Validated construction from label sets."""
         if not isinstance(carrier, Carrier):
             carrier = Carrier.of(carrier)
-        space = cls(carrier, frozenset(carrier.mask_of(s) for s in closed))
+        return cls._read(carrier, list(map(tuple, closed)), tuple)  # sets may be read twice
+
+    @classmethod
+    def _read(cls, carrier: Carrier, closed: Sequence[Iterable[str]], as_set: Callable) -> FinSpace:
+        """The validated space with these closed sets, each encoded by one ``reduce``; a stray
+        label is named by ``mask_of`` on as_set(c)."""
+        bits = dict(zip(carrier.points, map((1).__lshift__, range(len(carrier)))))
+        try:
+            masks = frozenset(reduce(or_, map(bits.__getitem__, c), 0) for c in closed)
+        except (KeyError, TypeError):
+            masks = frozenset(map(carrier.mask_of, map(as_set, closed)))
+        space = cls(carrier, masks)
         space.validate()
         return space
 
@@ -108,13 +124,13 @@ class FinSpace:
         """Check the closed-set axioms, naming two closed sets whose union or
         intersection is missing.
 
-        The closed sets C form a topology iff the empty set, the carrier,
-        each point closure and each union of a closed set with a point
-        closure lie in C: then every closed set is a down-set of the
-        specialization preorder and every down-set is a union of point
-        closures.  That is O(|C| * n) lookups on n points.
+        The closed sets C are a topology iff they are the unions of the point closures
+        (docs/theory_notes.md §3).  Only if not do the loops run that name the fault: C holds
+        the empty set, the carrier, each point closure and its union with each closed set.
         """
         closed = self.closed_masks
+        if _unions(self.point_closures, len(closed)) == closed:
+            return
         full = self.carrier.full_mask
         if 0 not in closed:
             raise DomainError("the empty set must be closed")
@@ -148,12 +164,7 @@ class FinSpace:
     def closed_masks(self) -> frozenset[int]:
         """The closed sets, as the unions of point closures (the empty union
         included); a DomainError once more than ``MAX_CLOSED_SETS`` appear."""
-        out = {0}
-        for cl in set(self.point_closures):
-            out |= {o | cl for o in out}
-            if len(out) > MAX_CLOSED_SETS:
-                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
-        return frozenset(out)
+        return frozenset(_unions(self.point_closures))
 
     @cached_property
     def open_masks(self) -> frozenset[int]:
@@ -161,18 +172,22 @@ class FinSpace:
         return frozenset((~m) & full for m in self.closed_masks)
 
     def _listing(self, label: Callable[[str], object] = str) -> list[list]:
-        """The closed sets sorted by size then labels, each as the list of its
-        points' ``label``s, read 4 points at a time from tables of label runs."""
-        labels, tables, out = list(map(label, self.carrier.points)), [], []
-        for s in range(0, len(labels), 4):
-            tables.append((s, table := [[]]))
-            for q in labels[s:s + 4]:
-                table += [run + [q] for run in table]
-        for m in sorted(self.closed_masks, key=_listing_key(self.carrier)):
-            out.append(run := [])
-            for s, table in tables:
-                run += table[m >> s & 15]
-        return out
+        """The closed sets sorted by size then labels, each as the list of its points' ``label``s:
+        sets of one size by descending mask with point i as bit n-1-i (docs/theory_notes.md §3),
+        read 6 points at a time from tables of label runs."""
+        n, labels = len(self.carrier), list(map(label, self.carrier.points))
+        masks = sorted(_unions(int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
+                               for cl in self.point_closures), reverse=True)
+        masks.sort(key=int.bit_count)
+        runs = [[]] * len(masks)
+        for s in range(0, n, 6):  # bit s + k of a mask is point n-1-s-k
+            table = [[]]
+            for q in labels[::-1][s:s + 6]:
+                table += [[q, *run] for run in table]
+            index = map(rshift, masks, repeat(s))  # the highest chunk needs no mask
+            part = map(table.__getitem__, index if s + 6 >= n else map(and_, index, repeat(63)))
+            runs = list(map(add, part, runs))
+        return runs
 
     def closed_sets(self) -> tuple[frozenset[str], ...]:
         """Closed sets as label sets, sorted by size then labels."""
@@ -220,9 +235,10 @@ class FinSpace:
         entries of closed sets are strings, and a string is never read as a list."""
         carrier = _json_key(doc, "carrier", list, item=str)
         closed = _json_key(doc, "closed", list)
-        for i, c in enumerate(closed):
-            _json_field(c, list, f"closed[{i}]", str)
-        return cls.from_closed(carrier, [frozenset(c) for c in closed])
+        if set(map(type, closed)) - {list} or set(map(type, chain.from_iterable(closed))) - {str}:
+            for i, c in enumerate(closed):
+                _json_field(c, list, f"closed[{i}]", str)
+        return cls._read(Carrier.of(carrier), closed, frozenset)
 
 
 def from_subbasis(subbasis: SetFamily) -> FinSpace:

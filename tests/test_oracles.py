@@ -13,8 +13,12 @@ the Spec(Z) intersection (the complement of the union of the complements),
 for factoring (plain trial division), and for the ring laws and ring
 homomorphisms, which the library checks at additive generators only: here
 every triple of elements, and every pair, is tried.  Closed-set listings,
-which the library sorts by one integer key per mask and writes from label
-tables, are compared with label tuples sorted twice and ``json.dumps``.
+which the library sorts in C as bit-reversed masks and writes from tables
+of label runs, 6 points each, are compared with label tuples sorted twice,
+with ``json.dumps`` and with the earlier sort by one integer key per mask.
+Closed sets read from documents, which the library accepts by one union
+equality, are read here as before, set by set and pair by pair, and every
+result and message is compared.
 Subrings, which the library spans from generators, are closed here under
 every pair until nothing changes, also in characteristics 8, 9, 27 and 32,
 where a span takes more than one coset per generator.  The table, subring
@@ -31,8 +35,10 @@ import math
 import operator
 import random
 import re
+from collections import Counter
 from functools import reduce
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +50,7 @@ from ultratop import (
     FinSpace,
     FipResult,
     Ideal,
+    InputError,
     Poset,
     PrincipalUltrafilter,
     RingEmbedding,
@@ -75,7 +82,7 @@ from ultratop import (
     z_fip_check,
     zmod,
 )
-from ultratop.core import _join_closure
+from ultratop.core import _join_closure, _json_field, _json_key
 from ultratop.rings import _spectrum
 from conftest import random_family
 from test_cli import call_main
@@ -194,6 +201,76 @@ def space_of_closures(carrier, closures):
     """The space whose closed sets are the unions of the given point closures,
     all of them enumerated at construction."""
     return FinSpace(carrier, frozenset(_join_closure({0, *closures}, operator.or_)))
+
+
+# byte b with its bits in reverse order
+REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def listing_key(carrier):
+    """The listing's earlier sort key of masks, by size, then sorted labels:
+    of two sets of one size the one with the larger bit-reversed mask comes
+    first, reversed byte by byte.  Bits past the carrier are ignored."""
+    full, size = carrier.full_mask, (len(carrier) + 7) // 8
+    return lambda m: ((m & full).bit_count() << 8 * size) - int.from_bytes(
+        (m & full).to_bytes(size, "little").translate(REVERSED_BYTES), "big")
+
+
+def looped_space(carrier, masks):
+    """Closed-set masks read as the library read them before it checked union
+    equality: the closed sets met one by one around each point, then the fold
+    of the closed sets around each point whose meet is missing, then every
+    union of a closed set with a point closure."""
+    full = carrier.full_mask
+    if any(m & ~full for m in masks):
+        raise DomainError("closed set reaches outside the carrier")
+    closures = [full] * len(carrier)
+    for m in masks:
+        for i in range(len(closures)):
+            if (m >> i) & 1:
+                closures[i] &= m
+
+    def not_closed(word, a, b):
+        return DomainError(f"closed sets are not closed under {word}: "
+                           f"{sorted(carrier.labels_of(a))} and {sorted(carrier.labels_of(b))}")
+
+    if 0 not in masks:
+        raise DomainError("the empty set must be closed")
+    if full not in masks:
+        raise DomainError("the whole carrier must be closed")
+    ordered = sorted(masks)
+    for i, cl in enumerate(closures):
+        if cl in masks:
+            continue
+        acc = full
+        for c in ordered:
+            if (c >> i) & 1:
+                if acc & c not in masks:
+                    raise not_closed("intersection", acc, c)
+                acc &= c
+    for c in ordered:
+        for cl in closures:
+            if c | cl not in masks:
+                raise not_closed("union", c, cl)
+    return closures
+
+
+def looped_from_closed(carrier, closed):
+    """``FinSpace.from_closed`` as it was: each set encoded label by label,
+    then ``looped_space``; returns the space and its closed-set masks."""
+    if not isinstance(carrier, Carrier):
+        carrier = Carrier.of(carrier)
+    masks = frozenset(carrier.mask_of(s) for s in closed)
+    return FinSpace._of_closures(carrier, looped_space(carrier, masks)), masks
+
+
+def looped_from_json(doc):
+    """``FinSpace.from_json`` as it was: every entry type-checked one by one."""
+    carrier = _json_key(doc, "carrier", list, item=str)
+    closed = _json_key(doc, "closed", list)
+    for i, c in enumerate(closed):
+        _json_field(c, list, f"closed[{i}]", str)
+    return looped_from_closed(carrier, [frozenset(c) for c in closed])
 
 
 def label_triple_covers(poset):
@@ -656,6 +733,143 @@ def test_spectrum_listings_match_the_sorted_label_tuples():
         body = json.loads(out)
         assert body["closed"] == list(map(list, closed_tuples(spec_space(ring))))
         assert (code, out, err) == (0, dumped(body), "")
+
+
+def space_document(rng, labels, masks):
+    """A space document for the masks over the sorted labels: the carrier,
+    the closed sets and the labels in each in random order, a label sometimes
+    given twice."""
+    carrier, closed = Carrier.of(labels), []
+    for m in masks:
+        entry = list(carrier.tuple_of(m))
+        entry += rng.sample(entry, min(len(entry), rng.choice((0, 0, 0, 1))))
+        closed.append(rng.sample(entry, len(entry)))
+    return {"carrier": rng.sample(labels, len(labels)), "closed": rng.sample(closed, len(closed))}
+
+
+def random_space_document(rng):
+    """Closed sets on up to 10 points: the down-sets of a random partial order
+    or the closed sets of a random subbasis (often not T0), as they are or
+    with one set dropped or one mask added."""
+    n = rng.randint(1, 10)
+    labels = odd_labels(rng, n) if rng.random() < 0.3 else [f"x{i}" for i in range(n)]
+    if rng.random() < 0.5:
+        order = rng.sample(labels, n)
+        pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.3]
+        space = poset_to_space(Poset.from_pairs(labels, pairs))
+    else:
+        members = [[x for x in labels if rng.random() < 0.5] for _ in range(rng.randint(1, 4))]
+        space = from_subbasis(SetFamily.of(labels, members))
+    masks, move = set(space.closed_masks), rng.random()
+    if move < 0.3:
+        masks.discard(rng.choice(sorted(masks)))
+    elif move < 0.6:
+        masks.add(rng.randrange(space.carrier.full_mask + 1))
+    return space_document(rng, labels, sorted(masks))
+
+
+# wrong types, stray labels, a missing empty set or carrier, no closure under
+# union or intersection, repeated carrier labels
+CORRUPTED_SPACES = [
+    {"carrier": ["a", "b"], "closed": [[], ["a"], ["a", "b"], ["c"]]},
+    {"carrier": ["a", "b"], "closed": [[], ["a", "b"], ["z", "y", "a"]]},
+    {"carrier": ["a"], "closed": [[], [["a"]]]},
+    {"carrier": ["a"], "closed": [[], "a"]},
+    {"carrier": ["a"], "closed": [[], ["a"], 1]},
+    {"carrier": ["a"], "closed": [[], {"a": 1}]},
+    {"carrier": ["a"], "closed": [[], ["a", 1]]},
+    {"carrier": ["a"], "closed": [[], ["a"], None]},
+    {"carrier": ["a", "a"], "closed": [[], ["a"]]},
+    {"carrier": ["b", "a", "b"], "closed": [[], ["a", "b"]]},
+    {"carrier": [], "closed": [[]]},
+    {"carrier": ["a", 1], "closed": [[], ["a"]]},
+    {"carrier": "ab", "closed": [[], ["a", "b"]]},
+    {"carrier": ["a", "b"], "closed": "ab"},
+    {"carrier": ["a", "b"], "closed": [["a"], ["a", "b"]]},
+    {"carrier": ["a", "b"], "closed": [[], ["a"]]},
+    {"carrier": ["a", "b"], "closed": []},
+    {"carrier": ["a", "b", "c"], "closed": [[], ["a"], ["b"], ["a", "b", "c"]]},
+    {"carrier": ["a", "b", "c"], "closed": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]},
+    {"carrier": ["a", "b", "c"], "closed": [[], ["a", "b"], ["a", "c"], ["a", "b", "c"]]},
+    {"carrier": ["a"], "closed": [[], ["a"], ["a", "a"], []]},
+    {"closed": [[]]},
+    {"carrier": ["a"]},
+    ["a"],
+]
+
+
+def outcome(read, *args):
+    """(space, point closures, closed masks) as read, or the type and message
+    of what reading raises."""
+    try:
+        space = read(*args)
+    except Exception as e:  # noqa: BLE001 - any exception is compared
+        return type(e), str(e)
+    space, masks = space if isinstance(space, tuple) else (space, space.closed_masks)
+    return space, space.point_closures, masks
+
+
+def looped_cli(verb, doc):
+    """What ``check-spectral`` or ``patch`` prints for a space document read
+    by ``looped_from_json``."""
+    try:
+        space, _ = looped_from_json(doc)
+    except InputError as e:
+        return 1, "", f"error: {e}\n"
+    except DomainError as e:
+        return 2, "", f"domain error: {e}\n"
+    if verb == "patch":
+        patch = lattice_patch(space)
+        body = {"carrier": list(patch.carrier.points), "closed": closed_tuples(patch)}
+    else:
+        body = {"carrier": list(space.carrier.points), "report": lattice_report(space).to_json()}
+    return 0, dumped({"schema": "v1", "verb": verb, **body}), ""
+
+
+def test_reading_matches_the_looped_checks():
+    rng = random.Random(2042)
+    docs = [space_document(rng, list("abc"), [m for m in range(8) if family >> m & 1])
+            for family in range(256)]
+    docs += [random_space_document(rng) for _ in range(400)] + CORRUPTED_SPACES
+    verdicts = Counter()
+    for doc in docs:
+        expect = outcome(looped_from_json, doc)
+        assert outcome(FinSpace.from_json, doc) == expect, doc
+        verdicts[expect[0].__name__ if isinstance(expect[0], type) else "read"] += 1
+        for verb in ("check-spectral", "patch"):
+            assert call_main([verb, "-"], doc) == looped_cli(verb, doc), doc
+        if not isinstance(doc, dict) or not isinstance(doc.get("closed"), list):
+            continue
+        carrier, closed = doc.get("carrier", ()), doc["closed"]
+        assert outcome(FinSpace.from_closed, carrier, closed) == outcome(
+            looped_from_closed, carrier, closed), doc
+        if all(type(c) is list and set(map(type, c)) <= {str} for c in closed):
+            sets = list(map(frozenset, closed))
+            assert outcome(FinSpace.from_closed, carrier, sets) == outcome(
+                looped_from_closed, carrier, sets), doc
+    assert verdicts["read"] >= 150 and verdicts["DomainError"] >= 300, verdicts
+    assert verdicts["InputError"] >= 10, verdicts
+
+
+def test_listing_matches_the_key_sorted_masks():
+    rng = random.Random(2043)
+    for n in [*range(1, 25), 6, 7, 8, 9, 12, 13, 16, 17, 33, 40, 64]:
+        labels = odd_labels(rng, n) if n % 2 else [f"x{i:02d}" for i in range(n)]
+        spaces = []  # past 24 points only partition topologies, at most 2**10 sets
+        if n <= 24:
+            spaces += [poset_to_space(layered_poset(rng, labels)),
+                       from_subbasis(few_members(rng, labels))]
+        for k in (rng.randint(1, min(n, 10)), min(n, 10)):  # partition topologies, 2**k sets
+            rng.shuffle(labels)
+            spaces.append(ultra_topology(SetFamily.of(labels, [labels[i::k] for i in range(k)])))
+        if n <= 10:
+            spaces.append(poset_to_space(random_poset(rng, n)))
+        for space in spaces:
+            ordered = sorted(space.closed_masks, key=listing_key(space.carrier))
+            for label in (str, encode_basestring_ascii):
+                assert space._listing(label) == [
+                    list(map(label, space.carrier.tuple_of(m))) for m in ordered
+                ]
 
 
 def test_covers_match_the_label_triple_scan():

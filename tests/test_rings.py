@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -328,7 +329,21 @@ class TestSpectrumFromIdempotents:
             compute(ring)
             ref = weakref.ref(ring)
             del ring
+            gc.collect()  # the cached Ideal tuples refer back to their ring
             assert ref() is None, compute.__name__
+
+    def test_warm_ideal_calls_build_no_ideal(self, monkeypatch):
+        ring = self.sixth_power()
+        cold = prime_ideals(ring), all_ideals(ring)
+        assert tuple(map(len, cold)) == (6, 64)
+
+        def refuse(self):
+            raise AssertionError("an Ideal was built")
+
+        monkeypatch.setattr(Ideal, "__post_init__", refuse)
+        assert (prime_ideals(ring), all_ideals(ring)) == cold
+        with pytest.raises(AssertionError, match="an Ideal was built"):
+            Ideal(ring, frozenset({ring.zero}))
 
 
 class TestUltrafilterPrime:

@@ -31,6 +31,7 @@ from test_cli import VALID, call_main
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ultratop").glob("*.py"))
+NINE = [f"p{i}" for i in range(9)]  # past the first label table of 6 points
 
 
 def oldest_python() -> tuple[int, int]:
@@ -71,8 +72,13 @@ def oldest_interpreter() -> str | None:
         (["patch", "-"], VALID["patch"]),
         (["ultra-topology", "-"], VALID["ultra-topology"]),
         (["overrings", "-"], VALID["overrings"]),
+        (["check-spectral", "-"], {"carrier": ["a", "b"], "closed": [[], ["a", "b"]]}),
+        (["check-spectral", "-"], {"carrier": ["a", "b", "c"],
+                                   "closed": [[], ["a"], ["b"], ["a", "b", "c"]]}),
+        (["patch", "-"], {"carrier": NINE, "closed": [NINE[:k] for k in range(10)]}),
     ],
-    ids=["spec-zmod", "spec-product", "patch", "ultra-topology", "overrings"],
+    ids=["spec-zmod", "spec-product", "patch", "ultra-topology", "overrings",
+         "check-spectral-not-t0", "check-spectral-no-union", "patch-9-points"],
 )
 def test_cli_prints_the_same_on_the_oldest_python(argv, doc):
     python = oldest_interpreter()
