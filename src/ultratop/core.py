@@ -133,12 +133,14 @@ class Carrier:
         return label in self._index
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """Encode a collection of labels as a bitmask, rejecting strays."""
-        mask = 0
+        """Encode a collection of labels as a bitmask, rejecting strays: the least one is named."""
+        mask, labels = 0, iter(labels)
         for label in labels:
             i = self._index.get(label)
-            if i is None:
-                raise DomainError(f"{label!r} is not a point of the carrier")
+            if i is None:  # the labels before it are points; strings sort before other labels
+                rest = [label, *labels]
+                least = min(rest, key=lambda x: (x in self.points, type(x) is not str, str(x)))
+                raise DomainError(f"{least!r} is not a point of the carrier")
             mask |= 1 << i
         return mask
 
@@ -170,8 +172,7 @@ class SetFamily:
     def __post_init__(self) -> None:
         if not self.members:
             raise DomainError("a set family must have at least one member")
-        for _, subset in self.members:
-            self.carrier.mask_of(subset)
+        self.masks  # encodes every member once, rejecting stray labels
 
     @classmethod
     def of(

@@ -9,11 +9,11 @@ points.  The closed sets are an output format, listed only when asked for,
 only up to ``MAX_CLOSED_SETS`` of them, as unions of bit-reversed point
 closures, sorted twice in C and spelled out from label tables per 6 points.
 
-A space built with the plain constructor is trusted to satisfy the topology
-axioms (internal constructions are correct by construction);
-``FinSpace.from_closed`` validates untrusted input and is what the JSON
-loaders use (one union-equality check; slower checks name a fault).  The
-round trip between finite T0 spaces and finite posets is exact.
+A space built with the plain constructor is trusted to satisfy the axioms;
+``FinSpace.from_closed`` validates untrusted input for the JSON loaders (one
+union-equality check; slower checks name a fault).  A ``Poset`` is stored the
+same way, as each point's down-set, so finite T0 spaces and finite posets map
+to each other with the masks unchanged; label pairs are built only when read.
 """
 
 from __future__ import annotations
@@ -105,17 +105,16 @@ class FinSpace:
         """Validated construction from label sets."""
         if not isinstance(carrier, Carrier):
             carrier = Carrier.of(carrier)
-        return cls._read(carrier, list(map(tuple, closed)), tuple)  # sets may be read twice
+        return cls._read(carrier, list(map(tuple, closed)))  # sets may be read twice
 
     @classmethod
-    def _read(cls, carrier: Carrier, closed: Sequence[Iterable[str]], as_set: Callable) -> FinSpace:
-        """The validated space with these closed sets, each encoded by one ``reduce``; a stray
-        label is named by ``mask_of`` on as_set(c)."""
+    def _read(cls, carrier: Carrier, closed: Sequence[Iterable[str]]) -> FinSpace:
+        """The validated space with these closed sets, each encoded by one ``reduce``."""
         bits = dict(zip(carrier.points, map((1).__lshift__, range(len(carrier)))))
         try:
             masks = frozenset(reduce(or_, map(bits.__getitem__, c), 0) for c in closed)
         except (KeyError, TypeError):
-            masks = frozenset(map(carrier.mask_of, map(as_set, closed)))
+            masks = frozenset(map(carrier.mask_of, closed))
         space = cls(carrier, masks)
         space.validate()
         return space
@@ -238,7 +237,7 @@ class FinSpace:
         if set(map(type, closed)) - {list} or set(map(type, chain.from_iterable(closed))) - {str}:
             for i, c in enumerate(closed):
                 _json_field(c, list, f"closed[{i}]", str)
-        return cls._read(Carrier.of(carrier), closed, frozenset)
+        return cls._read(Carrier.of(carrier), closed)
 
 
 def from_subbasis(subbasis: SetFamily) -> FinSpace:
@@ -266,17 +265,24 @@ def ultra_topology(family: SetFamily) -> FinSpace:
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order; the relation stores all (lower, upper) pairs."""
+    """A finite partial order, stored as the principal down-set of each point
+    (the form of ``FinSpace.point_closures``); its label pairs are built when read."""
 
     carrier: Carrier
-    relation: frozenset[tuple[str, str]]
+    downs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        idx = self.carrier._index
-        for x, y in self.relation:
+    def __init__(self, carrier: Carrier, relation: Iterable[tuple[str, str]]) -> None:
+        idx, downs = carrier._index, [0] * len(carrier)
+        for x, y in relation:
             if x not in idx or y not in idx:
                 raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
-        points, downs = self.carrier.points, self._downs
+            downs[idx[y]] |= 1 << idx[x]
+        self.__dict__.update(carrier=carrier, downs=tuple(downs))
+        self._check()
+
+    def _check(self) -> None:
+        """Name the first point where the order is not reflexive, antisymmetric or transitive."""
+        points, downs = self.carrier.points, self.downs
         for i, d in enumerate(downs):
             if not (d >> i) & 1:
                 raise DomainError(f"relation is not reflexive at {points[i]!r}")
@@ -289,27 +295,26 @@ class Poset:
                     )
                 if downs[j] & ~d:
                     k = (downs[j] & ~d).bit_length() - 1
-                    raise DomainError(
-                        "relation is not transitive: "
-                        f"{points[k]!r} <= {points[j]!r} <= {points[i]!r}"
-                    )
-
-    @cached_property
-    def _downs(self) -> tuple[int, ...]:
-        """Principal down-set of each point, as a mask."""
-        idx = self.carrier._index
-        out = [0] * len(self.carrier)
-        for x, y in self.relation:
-            out[idx[y]] |= 1 << idx[x]
-        return tuple(out)
+                    raise DomainError("relation is not transitive: "
+                                      f"{points[k]!r} <= {points[j]!r} <= {points[i]!r}")
 
     @classmethod
-    def from_pairs(
-        cls, labels: Iterable[str], pairs: Iterable[tuple[str, str]]
-    ) -> "Poset":
+    def _of_downs(cls, carrier: Carrier, downs: Iterable[int]) -> "Poset":
+        """The order with the given principal down-sets, trusted to be a partial order."""
+        poset = cls.__new__(cls)
+        poset.__dict__.update(carrier=carrier, downs=tuple(downs))
+        return poset
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """All (lower, upper) pairs, built from the down-sets when first read."""
+        p, tuple_of = self.carrier.points, self.carrier.tuple_of
+        return frozenset((x, p[i]) for i, d in enumerate(self.downs) for x in tuple_of(d))
+
+    @classmethod
+    def from_pairs(cls, labels: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Poset":
         """Reflexive-transitive closure of the given pairs; rejects cycles."""
-        carrier = Carrier.of(labels)
-        n = len(carrier)
+        n = len(carrier := Carrier.of(labels))
         downs = [1 << i for i in range(n)]
         for x, y in pairs:
             downs[carrier.mask_of((y,)).bit_length() - 1] |= carrier.mask_of((x,))
@@ -317,29 +322,25 @@ class Poset:
             for i in range(n):
                 if (downs[i] >> k) & 1:
                     downs[i] |= downs[k]
+        if len(set(downs)) < n:  # two points below each other: a cycle, named by the check
+            cls._of_downs(carrier, downs)._check()
         return cls._of_downs(carrier, downs)
 
-    @classmethod
-    def _of_downs(cls, carrier: Carrier, downs: Iterable[int]) -> "Poset":
-        """The relation whose principal down-sets are the given masks."""
-        n, p = len(carrier), carrier.points
-        rel = {(p[j], p[i]) for i, d in enumerate(downs) for j in range(n) if (d >> j) & 1}
-        return cls(carrier, frozenset(rel))
-
     def leq(self, x: str, y: str) -> bool:
-        return (x, y) in self.relation
+        idx = self.carrier._index
+        return x in idx and y in idx and (self.downs[idx[y]] >> idx[x]) & 1 == 1
 
     def down(self, x: str) -> frozenset[str]:
         """Principal down-set: everything below or equal to x."""
         if x not in self.carrier:
             raise DomainError(f"{x!r} is not a point of the carrier")
-        return self.carrier.labels_of(self._downs[self.carrier._index[x]])
+        return self.carrier.labels_of(self.downs[self.carrier._index[x]])
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """(lower, upper) pairs with nothing strictly between, sorted: y covers
         its strict down-set minus the strict down-sets of the points in it."""
         points = self.carrier.points
-        strict = [d & ~(1 << i) for i, d in enumerate(self._downs)]
+        strict = [d & ~(1 << i) for i, d in enumerate(self.downs)]
         out = []
         for i, below in enumerate(strict):
             lower = below & ~_union_at(strict, below)
@@ -362,7 +363,7 @@ def specialization_order(space: FinSpace) -> Poset:
 def poset_to_space(poset: Poset) -> FinSpace:
     """Alexandrov space of the poset: closed sets are the down-closed sets,
     the unions of principal down-sets."""
-    return FinSpace._of_closures(poset.carrier, poset._downs)
+    return FinSpace._of_closures(poset.carrier, poset.downs)
 
 
 def space_to_poset(space: FinSpace) -> Poset:

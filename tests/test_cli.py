@@ -3,10 +3,13 @@ import copy
 import gc
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -668,6 +671,36 @@ class TestStdinAndDeterminism:
     def test_schema_tag_everywhere(self, tmp_path, capsys):
         _, out, _ = run_file(tmp_path, capsys, "patch", SIERPINSKI_DOC)
         assert json.loads(out)["schema"] == "v1"
+
+    def test_stray_labels_are_named_alike_under_every_hash_seed(self):
+        """Sets of labels iterate in an order that string hashing, random per
+        process, decides; with several stray labels the least one is named."""
+        strays = ["z", "a", "x", "y"]
+        family = {"carrier": ["a"], "members": [{"name": "F0", "set": strays}]}
+        calls = [
+            ("check-spectral", {"carrier": ["a"], "closed": [[], ["a"], strays]}),
+            ("patch", {"carrier": ["a"], "closed": [[], strays, ["a"]]}),
+            ("atoms", family),
+            ("ultra-topology", family),
+            ("closure", {"family": FAMILY_DOC, "set": ["z", "x", "y", "a"]}),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ultratop.cli import main\n"
+            "for verb, doc in json.load(sys.stdin):\n"
+            "    sys.stdin, err = io.StringIO(json.dumps(doc)), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        print(main([verb, '-']), err.getvalue(), file=sys.__stdout__)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        seen = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+            run = subprocess.run([sys.executable, "-c", script], input=json.dumps(calls),
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            seen.add(run.stdout)
+        assert seen == {"2 domain error: 'x' is not a point of the carrier\n\n" * len(calls)}
 
 
 # pairs of calls whose parsed arguments differ in a default, a flag, the

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,14 @@ class TestCarrier:
         c = Carrier.of(["a", "b"])
         with pytest.raises(DomainError):
             c.mask_of(["z"])
+
+    def test_mask_names_the_least_stray_point(self):
+        c = Carrier.of(["a", "b"])
+        cases = [(["z"], "'z'"), (["a", "z", "b", "x", "y"], "'x'"), (iter("bzay"), "'y'"),
+                 ([3, "b", "z", None], "'z'"), ([3, None, 1.5, "a"], "1.5"), (["q", ["a"]], "'q'")]
+        for labels, named in cases:
+            with pytest.raises(DomainError, match=f"^{re.escape(named)} is not a point"):
+                c.mask_of(labels)
 
     def test_full_mask(self):
         c = Carrier.of(["a", "b", "c"])

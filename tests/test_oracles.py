@@ -27,6 +27,9 @@ for message with the element-wise loops below.  Prime ideals, which the
 library reads off the primitive idempotents, are found here by the prime
 test on every pair of elements, run on every ideal of the pairwise-sum
 lattice, and a prime's label by scanning the whole ring for a generator.
+Partial orders, which the library stores and checks as down-set masks and
+turns into label pairs only when asked, are checked here as before, by
+walking every label pair, message for message.
 """
 
 import ast
@@ -273,19 +276,67 @@ def looped_from_json(doc):
     return looped_from_closed(carrier, [frozenset(c) for c in closed])
 
 
-def label_triple_covers(poset):
+def label_triple_covers(points, relation):
     """(lower, upper) pairs of the relation with no third point between."""
     out = []
-    for x, y in poset.relation:
+    for x, y in relation:
         if x == y:
             continue
         if any(
-            z != x and z != y and poset.leq(x, z) and poset.leq(z, y)
-            for z in poset.carrier.points
+            z != x and z != y and (x, z) in relation and (z, y) in relation
+            for z in points
         ):
             continue
         out.append((x, y))
     return tuple(sorted(out))
+
+
+def pair_walked_order(carrier, relation):
+    """``Poset(carrier, relation)`` as it was, when a poset stored its label
+    pairs: the pairs are walked for strays, then into down-set masks, which the
+    loop below checks; returns the relation."""
+    idx = carrier._index
+    for x, y in relation:
+        if x not in idx or y not in idx:
+            raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
+    downs = [0] * len(carrier)
+    for x, y in relation:
+        downs[idx[y]] |= 1 << idx[x]
+    points = carrier.points
+    for i, d in enumerate(downs):
+        if not (d >> i) & 1:
+            raise DomainError(f"relation is not reflexive at {points[i]!r}")
+        for j in range(len(points)):
+            if j == i or not (d >> j) & 1:
+                continue
+            if (downs[j] >> i) & 1:
+                raise DomainError(
+                    f"relation is not antisymmetric on {points[j]!r}, {points[i]!r}"
+                )
+            if downs[j] & ~d:
+                k = (downs[j] & ~d).bit_length() - 1
+                raise DomainError(
+                    "relation is not transitive: "
+                    f"{points[k]!r} <= {points[j]!r} <= {points[i]!r}"
+                )
+    return frozenset(relation)
+
+
+def pair_walked_from_pairs(labels, pairs):
+    """``Poset.from_pairs`` as it was: Warshall on masks, every label pair of
+    the closure listed, then ``pair_walked_order``."""
+    carrier = Carrier.of(labels)
+    n = len(carrier)
+    downs = [1 << i for i in range(n)]
+    for x, y in pairs:
+        downs[carrier.mask_of((y,)).bit_length() - 1] |= carrier.mask_of((x,))
+    for k in range(n):
+        for i in range(n):
+            if (downs[i] >> k) & 1:
+                downs[i] |= downs[k]
+    p = carrier.points
+    rel = {(p[j], p[i]) for i, d in enumerate(downs) for j in range(n) if (d >> j) & 1}
+    return pair_walked_order(carrier, frozenset(rel))
 
 
 def lattice_patch(space):
@@ -876,7 +927,70 @@ def test_covers_match_the_label_triple_scan():
     rng = random.Random(2035)
     for _ in range(200):
         poset = random_poset(rng, 9)
-        assert poset.covers() == label_triple_covers(poset)
+        assert poset.covers() == label_triple_covers(poset.carrier.points, poset.relation)
+
+
+def corrupted_relation(rng, poset):
+    """The poset's label pairs, as they are or with one fault: a pair leaving
+    the carrier (sometimes two), a missing (x, x), a 2-cycle or a missing pair
+    that transitivity needs."""
+    rel, points = set(poset.relation), poset.carrier.points
+    strict = sorted((x, y) for x, y in rel if x != y)
+    chains = sorted((x, z) for x, y in strict for y2, z in strict if y == y2)
+    kind = rng.choice(("stray", "reflexive", "cycle", "transitive", None))
+    if kind == "stray":
+        for _ in range(rng.randint(1, 2)):
+            pair = [rng.choice(points), rng.choice(("q", "zz", "p9"))]
+            rel.add(tuple(rng.sample(pair, 2)))
+    elif kind == "reflexive":
+        x = rng.choice(points)
+        rel.discard((x, x))
+    elif kind == "cycle" and strict:
+        rel.add(rng.choice(strict)[::-1])
+    elif kind == "transitive" and chains:
+        rel.discard(rng.choice(chains))
+    return frozenset(rel)
+
+
+def test_poset_checks_match_the_pair_walk():
+    rng = random.Random(2044)
+    faults = ("leaves", "not reflexive", "not antisymmetric", "not transitive")
+    verdicts = Counter()
+    for _ in range(600):
+        poset = random_poset(rng, 5)
+        carrier, relation = poset.carrier, corrupted_relation(rng, poset)
+        expect = raised(pair_walked_order, carrier, relation)
+        assert raised(Poset, carrier, relation) == expect, relation
+        if expect is None:
+            assert Poset(carrier, relation).relation == relation
+        verdicts[next((f for f in faults if expect and f in expect[1]), "ok")] += 1
+    assert len(verdicts) == 5 and min(verdicts.values()) >= 40, verdicts
+    for _ in range(200):  # pair lists with a cycle through two or more points
+        labels = [f"p{i}" for i in range(rng.randint(2, 5))]
+        cycle = rng.sample(labels, rng.randint(2, len(labels)))
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        pairs += [tuple(rng.sample(labels, 2)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(pairs)
+        expect = raised(pair_walked_from_pairs, labels, pairs)
+        assert expect[0] is DomainError and "antisymmetric" in expect[1]
+        assert raised(Poset.from_pairs, labels, pairs) == expect, pairs
+
+
+def test_poset_queries_match_the_label_pairs():
+    rng = random.Random(2045)
+    for _ in range(300):
+        poset = random_poset(rng, 5)
+        points = poset.carrier.points
+        relation = pair_walked_from_pairs(points, [p for p in poset.relation if rng.random() < 0.7])
+        poset = Poset(poset.carrier, relation)
+        assert poset == Poset.from_pairs(points, relation)
+        for x in points:
+            assert poset.down(x) == {w for w in points if (w, x) in relation}
+            for y in points:
+                assert poset.leq(x, y) == ((x, y) in relation)
+            assert not poset.leq(x, "zz") and not poset.leq("zz", x)
+        assert poset.covers() == label_triple_covers(points, relation)
+        assert not poset.leq("zz", "zz")
 
 
 def test_continuity_matches_preimages_of_closed_sets():

@@ -265,6 +265,18 @@ class TestSpecializationOrder:
             sp = poset_to_space(p)
             assert space_to_poset(sp) == p
 
+    def test_orders_and_spaces_share_their_masks(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            p = random_poset(rng, 8)
+            assert poset_to_space(p).point_closures == p.downs
+            space = poset_to_space(p)
+            poset = specialization_order(space)
+            assert poset.downs == space.point_closures
+            hasse_dot(poset)
+            assert "relation" not in poset.__dict__  # no label pairs were built
+            assert poset.relation == p.relation and "relation" in poset.__dict__
+
     def test_round_trip_poset_to_space(self):
         # on finite T0 spaces, closing the order recovers the closed sets
         rng = random.Random(89)
