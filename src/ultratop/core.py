@@ -75,11 +75,11 @@ def _set_label(labels: Iterable[str]) -> str:
 
 
 def _union_at(masks: Sequence[int], selector: int) -> int:
-    """Union of masks[i] over the points i of the selector mask."""
-    out = 0
-    for i, m in enumerate(masks):
-        if (selector >> i) & 1:
-            out |= m
+    """Union of masks[i] over the set bits i of the selector; bits past the list are ignored."""
+    out, selector = 0, selector & ((1 << len(masks)) - 1)
+    while selector:
+        out |= masks[(low := selector & -selector).bit_length() - 1]
+        selector ^= low
     return out
 
 
@@ -120,6 +120,10 @@ class Carrier:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
+    def _bits(self) -> dict[str, int]:
+        return {p: 1 << i for i, p in enumerate(self.points)}
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
@@ -133,15 +137,15 @@ class Carrier:
         return label in self._index
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """Encode a collection of labels as a bitmask, rejecting strays: the least one is named."""
-        mask, labels = 0, iter(labels)
-        for label in labels:
-            i = self._index.get(label)
-            if i is None:  # the labels before it are points; strings sort before other labels
-                rest = [label, *labels]
-                least = min(rest, key=lambda x: (x in self.points, type(x) is not str, str(x)))
-                raise DomainError(f"{least!r} is not a point of the carrier")
-            mask |= 1 << i
+        """The bitmask of the labels (any iterable, a one-shot one too), naming the least stray."""
+        mask, bits = 0, self._bits
+        try:
+            for label in labels:
+                mask |= bits[label]
+        except KeyError:  # re-read, the labels before it are points; an iterator gives the rest
+            rest = [label, *labels]  # strays first, strings before the others, those by str
+            least = min(rest, key=lambda x: (x in self.points, type(x) is not str, str(x)))
+            raise DomainError(f"{least!r} is not a point of the carrier") from None
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:

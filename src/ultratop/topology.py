@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain, repeat
-from operator import add, and_, or_, rshift
+from functools import cached_property
+from itertools import repeat
+from operator import add, and_, rshift
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -102,20 +102,10 @@ class FinSpace:
     def from_closed(
         cls, carrier: Carrier | Iterable[str], closed: Iterable[Iterable[str]]
     ) -> "FinSpace":
-        """Validated construction from label sets."""
+        """Validated construction from label sets, each read once by ``Carrier.mask_of``."""
         if not isinstance(carrier, Carrier):
             carrier = Carrier.of(carrier)
-        return cls._read(carrier, list(map(tuple, closed)))  # sets may be read twice
-
-    @classmethod
-    def _read(cls, carrier: Carrier, closed: Sequence[Iterable[str]]) -> FinSpace:
-        """The validated space with these closed sets, each encoded by one ``reduce``."""
-        bits = dict(zip(carrier.points, map((1).__lshift__, range(len(carrier)))))
-        try:
-            masks = frozenset(reduce(or_, map(bits.__getitem__, c), 0) for c in closed)
-        except (KeyError, TypeError):
-            masks = frozenset(map(carrier.mask_of, closed))
-        space = cls(carrier, masks)
+        space = cls(carrier, frozenset(map(carrier.mask_of, closed)))
         space.validate()
         return space
 
@@ -230,14 +220,18 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FinSpace":
-        """Validated construction from a JSON document; carrier labels and the
-        entries of closed sets are strings, and a string is never read as a list."""
+        """Validated construction from a JSON document; labels are strings and closed sets are
+        lists (never a string read as one), checked one by one only once the read has failed."""
         carrier = _json_key(doc, "carrier", list, item=str)
         closed = _json_key(doc, "closed", list)
-        if set(map(type, closed)) - {list} or set(map(type, chain.from_iterable(closed))) - {str}:
-            for i, c in enumerate(closed):
-                _json_field(c, list, f"closed[{i}]", str)
-        return cls._read(Carrier.of(carrier), closed)
+        space = None
+        try:
+            space = cls.from_closed(carrier, _json_field(closed, list, "closed", list))
+        finally:
+            if space is None:  # the read failed: a bad entry, if any, is named instead
+                for i, c in enumerate(closed):
+                    _json_field(c, list, f"closed[{i}]", str)
+        return space
 
 
 def from_subbasis(subbasis: SetFamily) -> FinSpace:
@@ -274,7 +268,9 @@ class Poset:
     def __init__(self, carrier: Carrier, relation: Iterable[tuple[str, str]]) -> None:
         idx, downs = carrier._index, [0] * len(carrier)
         for x, y in relation:
-            if x not in idx or y not in idx:
+            if x not in idx or y not in idx:  # re-read, the pairs before it lie in the carrier
+                stray = [(x, y), *((a, b) for a, b in relation if a not in idx or b not in idx)]
+                x, y = min(stray, key=lambda p: [(type(q) is not str, str(q)) for q in p])
                 raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
             downs[idx[y]] |= 1 << idx[x]
         self.__dict__.update(carrier=carrier, downs=tuple(downs))

@@ -285,6 +285,26 @@ class TestExitCodes:
         code, out, err = run_file(tmp_path, capsys, verb, doc)
         assert (code, out, err) == (1, "", f"error: malformed input: {line}\n")
 
+    @pytest.mark.parametrize("verb", ["check-spectral", "patch"])
+    @pytest.mark.parametrize(
+        "closed, line",
+        [
+            ([[], ["a"], ["z"], ["b", 1], ["a", "b"]], "closed[3][1] must be a string, not int"),
+            ([["a"], ["b", None], ["a", "b"]], "closed[1][1] must be a string, not NoneType"),
+            ([[], ["y", "x"], "ab", ["a", "b"]], "closed[2] must be a list, not str"),
+            ([[], ["q"], ["a", ["b"]], ["a", "b"]], "closed[2][1] must be a string, not list"),
+            ([[], ["a"], ["a", "b"], [True]], "closed[3][0] must be a string, not bool"),
+        ],
+        ids=["stray-then-int", "no-empty-set-and-null", "stray-then-string-entry",
+             "nested-list", "true-after-a-topology"],
+    )
+    def test_first_bad_entry_wins_over_other_faults(self, verb, closed, line):
+        """A space document with a stray label, a missing set or a broken
+        topology besides a label or entry of the wrong type names the first
+        entry of the wrong type."""
+        doc = {"carrier": ["a", "b"], "closed": closed}
+        assert call_main([verb, "-"], doc) == (1, "", f"error: malformed input: {line}\n")
+
     def test_unknown_mode_names_its_entry(self, tmp_path, capsys):
         doc = {"sets": [{"primes": [2], "mode": "x"}]}
         code, out, err = run_file(tmp_path, capsys, "specz-fip", doc)

@@ -65,6 +65,17 @@ class TestCarrier:
             with pytest.raises(DomainError, match=f"^{re.escape(named)} is not a point"):
                 c.mask_of(labels)
 
+    def test_union_at_reads_only_the_selector_bits_on_the_list(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            masks = [rng.getrandbits(8) for _ in range(rng.randint(0, 8))]
+            selector = rng.getrandbits(12) * rng.choice([1, -1])
+            expect = 0
+            for i, m in enumerate(masks):
+                if (selector >> i) & 1:
+                    expect |= m
+            assert core._union_at(masks, selector) == expect, (masks, selector)
+
     def test_full_mask(self):
         c = Carrier.of(["a", "b", "c"])
         assert c.full_mask == 0b111

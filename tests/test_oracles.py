@@ -293,12 +293,18 @@ def label_triple_covers(points, relation):
 
 def pair_walked_order(carrier, relation):
     """``Poset(carrier, relation)`` as it was, when a poset stored its label
-    pairs: the pairs are walked for strays, then into down-set masks, which the
-    loop below checks; returns the relation."""
+    pairs: the pairs are walked for strays, the least of which is named (pairs
+    sorted as lists of labels, strings before other labels, the others by
+    ``str``), then into down-set masks, which the loop below checks; returns
+    the relation."""
     idx = carrier._index
-    for x, y in relation:
-        if x not in idx or y not in idx:
-            raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
+    stray = sorted(
+        ([(not isinstance(q, str), str(q)) for q in pair], pair)
+        for pair in relation if pair[0] not in idx or pair[1] not in idx
+    )
+    if stray:
+        x, y = stray[0][1]
+        raise DomainError(f"relation pair ({x!r}, {y!r}) leaves the carrier")
     downs = [0] * len(carrier)
     for x, y in relation:
         downs[idx[y]] |= 1 << idx[x]

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +115,14 @@ class TestFinSpace:
         doc = SIERPINSKI.to_json()
         again = FinSpace.from_json(json.loads(json.dumps(doc)))
         assert again == SIERPINSKI
+
+    def test_from_closed_reads_one_shot_sets_once(self):
+        closed = [[], ["b"], ["a", "b"], ["b", "c"], ["a", "b", "c"]]
+        once = FinSpace.from_closed(iter("cba"), ((label for label in c) for c in closed))
+        assert once == FinSpace.from_closed(["a", "b", "c"], closed)
+        one_shot = [[], (label for label in ["b", "z", "y"]), ["a", "b", "c"]]
+        with pytest.raises(DomainError, match="^'y' is not a point of the carrier$"):
+            FinSpace.from_closed(["a", "b", "c"], (c for c in one_shot))
 
     def test_plain_constructor_rejects_stray_bits(self):
         c = Carrier.of(["a"])
@@ -244,6 +256,33 @@ class TestPoset:
     def test_rejects_stray_labels(self):
         with pytest.raises(DomainError):
             Poset.from_pairs(["a"], [("a", "z")])
+
+    def test_least_stray_pair_is_named_under_every_hash_seed(self):
+        """A frozenset of pairs iterates in an order that string hashing, random
+        per process, decides; the least stray pair is named, label by label."""
+        script = (
+            "from ultratop import Carrier, DomainError, Poset\n"
+            "pairs = frozenset({('a', 'a'), ('b', 'b'), ('a', 'x'), ('y', 'b'), ('z', 'a')})\n"
+            "try:\n"
+            "    Poset(Carrier.of('ab'), pairs)\n"
+            "except DomainError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in range(6):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+            run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert (run.returncode, run.stdout, run.stderr) == (
+                0, "relation pair ('a', 'x') leaves the carrier\n", ""), seed
+
+    def test_stray_pairs_of_other_types_sort_after_strings(self):
+        c = Carrier.of("ab")
+        relation = [("a", "a"), ("b", "b"), (1, "a"), ("b", None), ("b", "q")]
+        with pytest.raises(DomainError, match=r"^relation pair \('b', 'q'\) leaves"):
+            Poset(c, relation)
+        with pytest.raises(DomainError, match=r"^relation pair \('b', None\) leaves"):
+            Poset(c, iter(relation[:4]))
 
 
 class TestSpecializationOrder:
