@@ -137,15 +137,17 @@ class Carrier:
         return label in self._index
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """The bitmask of the labels (any iterable, a one-shot one too), naming the least stray."""
+        """The bitmask of the labels (any iterable, a one-shot one too), naming the least
+        stray: a label that is not a point, unhashable ones included."""
         mask, bits = 0, self._bits
-        try:
-            for label in labels:
+        for label in labels:
+            try:
                 mask |= bits[label]
-        except KeyError:  # re-read, the labels before it are points; an iterator gives the rest
-            rest = [label, *labels]  # strays first, strings before the others, those by str
-            least = min(rest, key=lambda x: (x in self.points, type(x) is not str, str(x)))
-            raise DomainError(f"{least!r} is not a point of the carrier") from None
+            except (KeyError, TypeError):  # not a point, or unhashable: re-read, the labels
+                rest = [label, *labels]  # before it are points (an iterator gives the rest);
+                # strays first, strings before the others, those by str
+                least = min(rest, key=lambda x: (x in self.points, type(x) is not str, str(x)))
+                raise DomainError(f"{least!r} is not a point of the carrier") from None
         return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:

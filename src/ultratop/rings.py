@@ -3,18 +3,20 @@ the spaces of intermediate rings attached to ring embeddings.
 
 Rings are deliberately small: operation tables are capped at 64 elements,
 every ring law is checked on load, and subring enumeration is capped at a
-32-element ambient ring.  Checks compare whole table rows, and run the
+32-element ambient ring.  Checks compare whole table rows, kept as bytes so
+that a row of a law is one ``bytes.translate`` in C, and run the
 element-by-element loop only to name the first offender once a row check
-fails.  Primes and ideals are read off the primitive idempotents under a
-checked certificate, and cached on each ring; subrings are spanned from
-generators (docs/theory_notes.md, sections 4 and 5).
+fails.  Ideals and subrings name their least member out of range first.
+Primes and ideals are read off the primitive idempotents under a checked
+certificate, and cached on each ring; subrings are spanned from generators
+(docs/theory_notes.md, sections 4 and 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -63,6 +65,13 @@ class FiniteRing:
         return tuple(row.index(self.zero) for row in self.add)
 
     @cached_property
+    def _byte_rows(self) -> tuple[list[bytes], ...]:
+        """The rows of + and * as bytes, then padded to 256 bytes as ``bytes.translate`` tables."""
+        A, M = list(map(bytes, self.add)), list(map(bytes, self.mul))
+        pad = repeat(bytes(256 - self.size))
+        return A, M, list(map(bytes.__add__, A, pad)), list(map(bytes.__add__, M, pad))
+
+    @cached_property
     def _additive_generators(self) -> tuple[int, ...]:
         """Greedy picks whose sums, nested to the right from zero, reach every
         element; once + is a group each pick at least doubles the reach."""
@@ -109,10 +118,11 @@ class FiniteRing:
         at = f"{name}." if name else ""
 
         def table(key: str) -> tuple[tuple[int, ...], ...]:
-            return tuple(
-                tuple(_json_field(row, list, f"{at}{key}[{i}]", int))
-                for i, row in enumerate(_json_key(doc, key, list, at))
-            )
+            rows = _json_key(doc, key, list, at)  # the rows' types, then their entries', in bulk
+            if set(map(type, rows)) - {list} or set(map(type, chain.from_iterable(rows))) - {int}:
+                for i, row in enumerate(rows):
+                    _json_field(row, list, f"{at}{key}[{i}]", int)
+            return tuple(map(tuple, rows))
 
         return cls(
             tuple(_json_key(doc, "elements", list, at, str)),
@@ -160,35 +170,33 @@ def _check_ring(r: FiniteRing) -> None:
             raise DomainError(f"one is not a multiplicative identity at {i}")
         if r.zero not in add[i]:
             raise DomainError(f"element {i} has no additive inverse")
-    # Light's test gives associativity of + at the generators alone; the other
-    # laws are then additive in the middle slot (docs/theory_notes.md, section 4)
-    for g in r._additive_generators:  # n > 1, so each getter returns a tuple
-        plus_g, times_g = itemgetter(*add[g]), itemgetter(*mul[g])
+    # Light's test gives associativity of + at the generators alone, the other laws are
+    # then additive in the middle slot, and each law at (g, x) compares two byte rows
+    # (docs/theory_notes.md, section 4); the loop naming the law runs once a pair fails
+    A, M, At, Mt = r._byte_rows
+    for g in r._additive_generators:
+        Ag, Mg = A[g], M[g]
         for x in range(n):
-            ax, mx = add[x], mul[x]
+            if (A[add[x][g]] == Ag.translate(At[x]) and M[mul[x][g]] == Mg.translate(Mt[x])
+                    and Ag.translate(Mt[x]) == M[x].translate(At[mul[x][g]])):
+                continue
             for law, lhs, rhs in (
-                ("addition is not associative", add[ax[g]], plus_g(ax)),
-                ("multiplication is not associative", mul[mx[g]], times_g(mx)),
-                ("distributivity fails", plus_g(mx), _compose(add[mx[g]], mx)),
+                ("addition is not associative", A[add[x][g]], Ag.translate(At[x])),
+                ("multiplication is not associative", M[mul[x][g]], Mg.translate(Mt[x])),
+                ("distributivity fails", Ag.translate(Mt[x]), M[x].translate(At[mul[x][g]])),
             ):
                 if lhs != rhs:
                     z = next(z for z in range(n) if lhs[z] != rhs[z])
                     raise DomainError(f"{law} at ({x}, {g}, {z})")
 
 
-def _compose(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """The table row of z -> f[h[z]]."""
-    return itemgetter(*h)(f) if len(h) > 1 else (f[h[0]],)
-
-
 def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n, with decimal labels."""
     if not 2 <= n <= MAX_RING:
         raise DomainError(f"zmod size must be between 2 and {MAX_RING}")
-    labels = tuple(str(i) for i in range(n))
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-    return FiniteRing(labels, add, mul, 0, 1, name=f"Z/{n}")
+    add = tuple(tuple(range(i, n)) + tuple(range(i)) for i in range(n))
+    mul = ((0,) * n, *(tuple(map(n.__rmod__, range(0, i * n, i))) for i in range(1, n)))
+    return FiniteRing(tuple(map(str, range(n))), add, mul, 0, 1, name=f"Z/{n}")
 
 
 def product(r: FiniteRing, s: FiniteRing) -> FiniteRing:
@@ -296,10 +304,10 @@ class RingHom:
         if f[src.one] != tgt.one:
             raise DomainError("homomorphism must send one to one")
         # zero and the additive generators suffice (docs/theory_notes.md, section 4)
+        (A, M, *_), (*_, At, Mt), F = src._byte_rows, tgt._byte_rows, bytes(f)
         for g in (src.zero, *src._additive_generators):
-            for word, op, op_t in (("addition", src.add, tgt.add),
-                                   ("multiplication", src.mul, tgt.mul)):
-                lhs, rhs = _compose(f, op[g]), _compose(op_t[f[g]], f)
+            for word, op, op_t in (("addition", A, At), ("multiplication", M, Mt)):
+                lhs, rhs = op[g].translate(F.ljust(256, b"\0")), F.translate(op_t[f[g]])
                 if lhs != rhs:
                     x = next(x for x in range(src.size) if lhs[x] != rhs[x])
                     raise DomainError(
@@ -351,13 +359,14 @@ class Ideal:
         r, ms = self.ring, self.members
         if r.zero not in ms:
             raise DomainError("an ideal must contain zero")
-        pick = itemgetter(*ms, r.zero)  # zero twice: a tuple even for one member
-        if ms.issubset(range(r.size)) and ms.issuperset(  # products: rows are columns
-                chain(*map(pick, pick(r.add)), *pick(r.mul))):
+        if bad := ms.difference(range(r.size)):
+            raise DomainError(f"ideal member {min(bad)} is out of range")
+        (_, M, At, _), pick, S = r._byte_rows, itemgetter(*ms, r.zero), bytes(ms)
+        # the sums and the products of members (rows are columns; zero twice: pick returns a
+        # tuple even for one member), with the members deleted: nothing is left in an ideal
+        if not b"".join([*map(S.translate, pick(At)), *pick(M)]).translate(None, S):
             return
         for a in ms:
-            if not 0 <= a < r.size:
-                raise DomainError(f"ideal member {a} is out of range")
             for b in self.members:
                 if r.add[a][b] not in self.members:
                     raise DomainError(
@@ -510,13 +519,12 @@ class Subring:
         for need, word in ((r.zero, "zero"), (r.one, "one")):
             if need not in ms:
                 raise DomainError(f"a subring must contain {word}")
+        if bad := ms.difference(range(r.size)):
+            raise DomainError(f"subring member {min(bad)} is out of range")
         pick = itemgetter(*ms, r.zero)  # zero twice: a tuple even for one member
-        if ms.issubset(range(r.size)) and ms.issuperset(
-                chain(*map(pick, (r.neg, *pick(r.add), *pick(r.mul))))):
+        if ms.issuperset(chain(*map(pick, (r.neg, *pick(r.add), *pick(r.mul))))):
             return
         for a in ms:
-            if not 0 <= a < r.size:
-                raise DomainError(f"subring member {a} is out of range")
             if r.neg[a] not in self.members:
                 raise DomainError(
                     f"subring is not closed under negation at {r.elements[a]!r}"

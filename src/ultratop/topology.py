@@ -10,10 +10,12 @@ only up to ``MAX_CLOSED_SETS`` of them, as unions of bit-reversed point
 closures, sorted twice in C and spelled out from label tables per 6 points.
 
 A space built with the plain constructor is trusted to satisfy the axioms;
-``FinSpace.from_closed`` validates untrusted input for the JSON loaders (one
-union-equality check; slower checks name a fault).  A ``Poset`` is stored the
-same way, as each point's down-set, so finite T0 spaces and finite posets map
-to each other with the masks unchanged; label pairs are built only when read.
+it takes a smallest closed set around each point, in one pass by size, as
+its closure.  ``FinSpace.from_closed`` validates untrusted input for the JSON
+loaders (a subset and a union-equality check; slower checks name a fault).
+A ``Poset`` is stored the same way, as each point's down-set, so finite T0
+spaces and finite posets map to each other with the masks unchanged; label
+pairs are built only when read.
 """
 
 from __future__ import annotations
@@ -86,10 +88,19 @@ class FinSpace:
     point_closures: tuple[int, ...]
 
     def __init__(self, carrier: Carrier, closed_masks: frozenset[int]) -> None:
-        if any(m & ~carrier.full_mask for m in closed_masks):
+        full = todo = carrier.full_mask
+        if any(m & ~full for m in closed_masks):
             raise DomainError("closed set reaches outside the carrier")
-        closures = tuple(_meets_at_points(carrier, closed_masks))
-        self.__dict__.update(carrier=carrier, point_closures=closures, closed_masks=closed_masks)
+        closures = [full] * len(carrier)  # at each point a smallest mask holding it, by size
+        for m in sorted(closed_masks, key=int.bit_count):
+            new, todo = m & todo, todo & ~m
+            while new:
+                closures[(low := new & -new).bit_length() - 1] = m
+                new ^= low
+            if not todo:
+                break
+        self.__dict__.update(carrier=carrier, point_closures=tuple(closures),
+                             closed_masks=closed_masks)
 
     @classmethod
     def _of_closures(cls, carrier: Carrier, closures: Iterable[int]) -> "FinSpace":
@@ -113,20 +124,23 @@ class FinSpace:
         """Check the closed-set axioms, naming two closed sets whose union or
         intersection is missing.
 
-        The closed sets C are a topology iff they are the unions of the point closures
-        (docs/theory_notes.md §3).  Only if not do the loops run that name the fault: C holds
-        the empty set, the carrier, each point closure and its union with each closed set.
+        With k_i a smallest member of C holding point i, the closed sets C are a topology
+        iff each k_j with j in k_i lies in k_i and C is the unions of the k_i
+        (docs/theory_notes.md §3).  Only if not are the meets of the members around each
+        point taken, and the loops run that name the fault: C holds the empty set, the
+        carrier, each meet and its union with each closed set.
         """
-        closed = self.closed_masks
-        if _unions(self.point_closures, len(closed)) == closed:
+        closed, closures = self.closed_masks, self.point_closures
+        if all(_union_at(closures, k) == k for k in closures) and _unions(
+                closures, len(closed)) == closed:
             return
-        full = self.carrier.full_mask
+        full, closures = self.carrier.full_mask, _meets_at_points(self.carrier, closed)
         if 0 not in closed:
             raise DomainError("the empty set must be closed")
         if full not in closed:
             raise DomainError("the whole carrier must be closed")
         ordered = sorted(closed)
-        for i, cl in enumerate(self.point_closures):
+        for i, cl in enumerate(closures):
             if cl in closed:
                 continue
             # the fold of the closed sets containing i ends at cl, which is
@@ -138,7 +152,7 @@ class FinSpace:
                         raise self._not_closed("intersection", acc, c)
                     acc &= c
         for c in ordered:
-            for cl in self.point_closures:
+            for cl in closures:
                 if c | cl not in closed:
                     raise self._not_closed("union", c, cl)
 
@@ -413,7 +427,7 @@ def _compact_open_basis(space: FinSpace) -> bool:
     is the union of the minimal opens of its points, hence open.
     """
     ups = space._minimal_opens
-    return all(_union_at(ups, a & b) == a & b for a in ups for b in ups)
+    return all(_union_at(ups, m) == m for m in {a & b for a in ups for b in ups})
 
 
 def is_spectral(space: FinSpace) -> SpectralReport:

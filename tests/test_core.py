@@ -60,10 +60,14 @@ class TestCarrier:
     def test_mask_names_the_least_stray_point(self):
         c = Carrier.of(["a", "b"])
         cases = [(["z"], "'z'"), (["a", "z", "b", "x", "y"], "'x'"), (iter("bzay"), "'y'"),
-                 ([3, "b", "z", None], "'z'"), ([3, None, 1.5, "a"], "1.5"), (["q", ["a"]], "'q'")]
+                 ([3, "b", "z", None], "'z'"), ([3, None, 1.5, "a"], "1.5"), (["q", ["a"]], "'q'"),
+                 (["a", ["b"]], "['b']"), ([{"a": 1}, "a"], "{'a': 1}"),  # unhashable ones too
+                 (iter([["a"], "z"]), "'z'"), ([{"b"}, ["a"], "b"], "['a']")]
         for labels, named in cases:
             with pytest.raises(DomainError, match=f"^{re.escape(named)} is not a point"):
                 c.mask_of(labels)
+        with pytest.raises(TypeError):  # not an iterable at all: Python's own error
+            c.mask_of(5)
 
     def test_union_at_reads_only_the_selector_bits_on_the_list(self):
         rng = random.Random(7)

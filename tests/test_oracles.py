@@ -23,7 +23,13 @@ Subrings, which the library spans from generators, are closed here under
 every pair until nothing changes, also in characteristics 8, 9, 27 and 32,
 where a span takes more than one coset per generator.  The table, subring
 and ideal checks, which the library runs on whole rows, are compared message
-for message with the element-wise loops below.  Prime ideals, which the
+for message with the element-wise loops below.  So are the ring laws, which
+the library compares as byte rows built by ``bytes.translate``, with the
+earlier loop over tuple rows picked by ``itemgetter``.  Point closures, which
+the library takes as a smallest closed set around each point in one pass
+sorted by size, are compared with the meets of the closed sets around each
+point, and ``validate``'s messages with those of the earlier check that the
+closed sets are the unions of the meets.  Prime ideals, which the
 library reads off the primitive idempotents, are found here by the prime
 test on every pair of elements, run on every ideal of the pairwise-sum
 lattice, and a prime's label by scanning the whole ring for a generator.
@@ -42,6 +48,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +226,16 @@ def listing_key(carrier):
         (m & full).to_bytes(size, "little").translate(REVERSED_BYTES), "big")
 
 
+def meets_at_points(carrier, masks):
+    """For each point, the meet of the masks that hold it (the carrier if none)."""
+    out = [carrier.full_mask] * len(carrier)
+    for m in masks:
+        for i in range(len(out)):
+            if (m >> i) & 1:
+                out[i] &= m
+    return out
+
+
 def looped_space(carrier, masks):
     """Closed-set masks read as the library read them before it checked union
     equality: the closed sets met one by one around each point, then the fold
@@ -227,11 +244,7 @@ def looped_space(carrier, masks):
     full = carrier.full_mask
     if any(m & ~full for m in masks):
         raise DomainError("closed set reaches outside the carrier")
-    closures = [full] * len(carrier)
-    for m in masks:
-        for i in range(len(closures)):
-            if (m >> i) & 1:
-                closures[i] &= m
+    closures = meets_at_points(carrier, masks)
 
     def not_closed(word, a, b):
         return DomainError(f"closed sets are not closed under {word}: "
@@ -274,6 +287,18 @@ def looped_from_json(doc):
     for i, c in enumerate(closed):
         _json_field(c, list, f"closed[{i}]", str)
     return looped_from_closed(carrier, [frozenset(c) for c in closed])
+
+
+def meet_checked_space(carrier, masks):
+    """Closed-set masks read as the library read them before it took a smallest
+    member around each point: the meets around each point, accepted when the masks
+    are exactly their unions, and otherwise the fault named by ``looped_space``."""
+    if any(m & ~carrier.full_mask for m in masks):
+        raise DomainError("closed set reaches outside the carrier")
+    closures = meets_at_points(carrier, masks)
+    if fixpoint_closure({0, *closures}, operator.or_) == masks:
+        return closures
+    return looped_space(carrier, masks)  # names the fault
 
 
 def label_triple_covers(points, relation):
@@ -457,6 +482,26 @@ def triple_scan_law_failure(add, mul):
     return None
 
 
+def tuple_row_law_failure(add, mul, gens):
+    """The ring laws at the additive generators as the library checked them before
+    it compared byte rows: per generator g and element x, rows as tuples picked by
+    ``itemgetter``, associativity of + and of *, then distributivity; the first
+    failing law is named at the first z where its two rows differ."""
+    n = len(add)
+    for g in gens:
+        plus_g, times_g = operator.itemgetter(*add[g]), operator.itemgetter(*mul[g])
+        for x in range(n):
+            ax, mx = add[x], mul[x]
+            for law, lhs, rhs in (
+                ("addition is not associative", add[ax[g]], plus_g(ax)),
+                ("multiplication is not associative", mul[mx[g]], times_g(mx)),
+                ("distributivity fails", plus_g(mx), operator.itemgetter(*mx)(add[mx[g]])),
+            ):
+                if lhs != rhs:
+                    z = next(z for z in range(n) if lhs[z] != rhs[z])
+                    raise DomainError(f"{law} at ({x}, {g}, {z})")
+
+
 HOM_LAWS = {
     "addition": lambda src, tgt, f, i, j: f[src.add[i][j]] == tgt.add[f[i]][f[j]],
     "multiplication": lambda src, tgt, f, i, j: f[src.mul[i][j]] == tgt.mul[f[i]][f[j]],
@@ -491,13 +536,15 @@ def elementwise_table_check(add, mul):
 
 
 def elementwise_subring_check(r, members):
-    """Subring membership, one member and one pair at a time."""
+    """Subring membership, one member and one pair at a time, once the least
+    member out of range, if any, is named."""
     for need, word in ((r.zero, "zero"), (r.one, "one")):
         if need not in members:
             raise DomainError(f"a subring must contain {word}")
-    for a in members:
+    for a in sorted(members):
         if not 0 <= a < r.size:
             raise DomainError(f"subring member {a} is out of range")
+    for a in members:
         if r.neg[a] not in members:
             raise DomainError(f"subring is not closed under negation at {r.elements[a]!r}")
         for b in members:
@@ -510,12 +557,14 @@ def elementwise_subring_check(r, members):
 
 
 def elementwise_ideal_check(r, members):
-    """Ideal membership, one member and one pair at a time."""
+    """Ideal membership, one member and one pair at a time, once the least
+    member out of range, if any, is named."""
     if r.zero not in members:
         raise DomainError("an ideal must contain zero")
-    for a in members:
+    for a in sorted(members):
         if not 0 <= a < r.size:
             raise DomainError(f"ideal member {a} is out of range")
+    for a in members:
         for b in members:
             if r.add[a][b] not in members:
                 raise DomainError(
@@ -908,6 +957,46 @@ def test_reading_matches_the_looped_checks():
     assert verdicts["InputError"] >= 10, verdicts
 
 
+# {∅, {a,b}, {b,c}, {a,b,c}}: b lies in two members of least size, {a,b} and {b,c}, and
+# with either taken the sets are the unions of the smallest members around the points,
+# yet {b} = {a,b} ∩ {b,c} is missing
+SIZE_TIE = (Carrier.of("abc"), frozenset({0b000, 0b011, 0b110, 0b111}))
+
+
+def union_closed(rng, n):
+    """∅, the carrier and all unions of a few random masks: closed under union,
+    and under intersection only by chance."""
+    carrier = Carrier.of(f"x{i}" for i in range(n))
+    masks = {rng.randrange(1, carrier.full_mask + 1) for _ in range(rng.randint(1, 4))}
+    return carrier, fixpoint_closure(masks | {0, carrier.full_mask}, operator.or_)
+
+
+def test_size_tie_needs_the_subset_condition():
+    carrier, masks = SIZE_TIE
+    space = FinSpace(carrier, masks)
+    assert fixpoint_closure({0, *space.point_closures}, operator.or_) == masks
+    with pytest.raises(DomainError, match=re.escape(
+            "not closed under intersection: ['a', 'b'] and ['b', 'c']")):
+        space.validate()
+
+
+def test_point_closures_and_validate_match_the_meets():
+    rng = random.Random(2044)
+    cases = [SIZE_TIE, *(random_closed_collection(rng, 8) for _ in range(1500)),
+             *(union_closed(rng, rng.randint(2, 9)) for _ in range(600))]
+    verdicts = Counter()
+    for carrier, masks in cases:
+        space = FinSpace(carrier, masks)
+        want = raised(meet_checked_space, carrier, masks)
+        assert raised(space.validate) == want, (carrier, masks)
+        if want is None:
+            assert space.point_closures == tuple(meets_at_points(carrier, masks))
+        verdicts[want and want[1].split(":")[0]] += 1
+    assert verdicts[None] >= 300, verdicts
+    assert verdicts["closed sets are not closed under intersection"] >= 300, verdicts
+    assert verdicts["closed sets are not closed under union"] >= 50, verdicts
+
+
 def test_listing_matches_the_key_sorted_masks():
     rng = random.Random(2043)
     for n in [*range(1, 25), 6, 7, 8, 9, 12, 13, 16, 17, 33, 40, 64]:
@@ -1258,6 +1347,41 @@ def test_broken_large_tables_name_a_failing_triple():
             add, mul = corrupted_tables(rng, ring, 1, add_share=0)
         law, triple = named_law_failure(add, mul, ring.zero, ring.one)
         assert not RING_LAWS[law](add, mul, *triple)
+
+
+LAWS = ("addition is not associative", "multiplication is not associative",
+        "distributivity fails")
+LAW_RINGS = [zmod(n) for n in range(2, 65)] + [gf(q) for q in (4, 8, 9, 16)] + [
+    product(a, b)
+    for a in (zmod(2), zmod(3), gf(4), gf(8), gf(16))
+    for b in (zmod(2), zmod(4), gf(4), gf(8), product(zmod(2), zmod(2)))
+    if a.size * b.size <= 64
+]
+
+
+def test_law_check_names_what_the_tuple_row_loop_names():
+    # per size from 2 to 64 and per law, one entry of + (for associativity of +),
+    # of * (for associativity of *) or of either, changed with its mirror
+    rng = random.Random(2045)
+    named, sizes = Counter(), set()
+    for n in range(2, 65):
+        rings = [r for r in LAW_RINGS if r.size == n]
+        for share in (1.0, 0.0, 0.5) * 4:
+            ring = permuted(rng.choice(rings), rng)
+            for _ in range(20):  # a change that keeps the identities and the inverses
+                add, mul = corrupted_tables(rng, ring, 1, add_share=share)
+                if (add, mul) != (ring.add, ring.mul):
+                    break
+            else:
+                continue
+            gens = FiniteRing._additive_generators.func(
+                SimpleNamespace(size=n, zero=ring.zero, add=add))
+            want = raised(tuple_row_law_failure, add, mul, gens)
+            assert raised(FiniteRing, ring.elements, add, mul, ring.zero, ring.one) == want
+            if want:
+                named[want[1].split(" at ")[0]] += 1
+                sizes.add(n)
+    assert sizes == set(range(2, 65)) and min(named[law] for law in LAWS) >= 40, named
 
 
 def named_hom_failure(src, tgt, f):

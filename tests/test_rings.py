@@ -84,6 +84,12 @@ class TestFiniteRing:
         assert r.add[4][5] == 3
         assert r.mul[4][5] == 2
         assert r.neg == (0, 5, 4, 3, 2, 1)
+        for n in range(2, 65):  # the residue tables at every size
+            r = zmod(n)
+            assert (r.elements, r.zero, r.one, r.name) == (
+                tuple(map(str, range(n))), 0, 1, f"Z/{n}")
+            assert r.add == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+            assert r.mul == tuple(tuple(i * j % n for j in range(n)) for i in range(n))
 
     def test_zmod_bounds(self):
         with pytest.raises(DomainError):
@@ -183,6 +189,10 @@ class TestIdeals:
             Ideal(r, frozenset({1}))  # no zero
         with pytest.raises(DomainError):
             Ideal(r, frozenset({0, 1}))  # does not absorb
+        # the least member out of range, before any sum or product is tested
+        for members, named in (({0, -2}, -2), ({0, 1, 7, -1, 4}, -1), ({0, 2, 4, 9}, 4)):
+            with pytest.raises(DomainError, match=f"^ideal member {named} is out of range$"):
+                Ideal(zmod(4), frozenset(members))
 
     def test_primes_of_zmod_are_prime_divisors(self):
         for n in range(2, 31):
@@ -448,6 +458,10 @@ class TestIntermediateRings:
             Subring(r, frozenset({0}))  # missing one
         with pytest.raises(DomainError):
             Subring(r, frozenset({0, 1}))  # 1+1=2 escapes
+        # the least member out of range, not an IndexError from a sum or product
+        for members, named in (({0, 1, 2, 3, 9}, 9), ({0, 1, 5, -3}, -3), ({0, 1, 4}, 4)):
+            with pytest.raises(DomainError, match=f"^subring member {named} is out of range$"):
+                Subring(zmod(4), frozenset(members))
 
     def test_prime_field_tower_in_gf16(self):
         rings = intermediate_rings(f2_into_f16())

@@ -124,6 +124,10 @@ class TestFinSpace:
         with pytest.raises(DomainError, match="^'y' is not a point of the carrier$"):
             FinSpace.from_closed(["a", "b", "c"], (c for c in one_shot))
 
+    def test_from_closed_names_an_unhashable_label(self):
+        with pytest.raises(DomainError, match=r"^\{'a': 1\} is not a point of the carrier$"):
+            FinSpace.from_closed("ab", [[], [{"a": 1}], ["a", "b"]])
+
     def test_plain_constructor_rejects_stray_bits(self):
         c = Carrier.of(["a"])
         with pytest.raises(DomainError):
