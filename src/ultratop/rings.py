@@ -3,10 +3,11 @@ the spaces of intermediate rings attached to ring embeddings.
 
 Rings are deliberately small: operation tables are capped at 64 elements,
 every ring law is checked on load, and subring enumeration is capped at a
-32-element ambient ring.  Checks compare whole table rows, kept as bytes so
-that a row of a law is one ``bytes.translate`` in C, and run the
-element-by-element loop only to name the first offender once a row check
-fails.  Ideals and subrings name their least member out of range first.
+32-element ambient ring.  Each check is one loop over table rows, or over
+members, kept as bytes so that a row is tested in one C call
+(``bytes.translate``); the step whose row fails names the first offender in
+it.  Ideals and subrings name their least member out of range first, and
+element indices given directly pass one range check.
 Primes and ideals are read off the primitive idempotents under a checked
 certificate, and cached on each ring; subrings are spanned from generators
 (docs/theory_notes.md, sections 4 and 5).
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import chain, combinations, repeat
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import Carrier, DomainError, PrincipalUltrafilter, SetFamily, UltratopError
@@ -57,7 +57,7 @@ class FiniteRing:
             raise DomainError(f"{label!r} is not an element of {self.name or 'the ring'}")
 
     def label(self, i: int) -> str:
-        return self.elements[i]
+        return self.elements[_index(self, i)]
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
@@ -146,23 +146,22 @@ def _check_ring(r: FiniteRing) -> None:
     for table, word in ((r.add, "addition"), (r.mul, "multiplication")):
         if len(table) != n or any(len(row) != n for row in table):
             raise DomainError(f"{word} table must be {n}x{n}")
-        if not all(map(indices.issuperset, table)):
-            for row in table:
-                for v in row:
-                    if not 0 <= v < n:
-                        raise DomainError(f"{word} table entry {v} is out of range")
+        for row in table:
+            if not indices.issuperset(row):
+                v = next(v for v in row if v not in indices)
+                raise DomainError(f"{word} table entry {v} is out of range")
     if not 0 <= r.zero < n or not 0 <= r.one < n:
         raise DomainError("zero and one must be element indices")
     if r.zero == r.one and n > 1:
         raise DomainError("one must differ from zero in a nontrivial ring")
     add, mul = r.add, r.mul
-    if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:
-        for i in range(n):
-            for j in range(i, n):
-                if add[i][j] != add[j][i]:
-                    raise DomainError(f"addition is not commutative at ({i}, {j})")
-                if mul[i][j] != mul[j][i]:
-                    raise DomainError(f"multiplication is not commutative at ({i}, {j})")
+    # each row against its column: the first row to differ differs from it at j >= i only
+    rows = zip(map(tuple, add), zip(*add), map(tuple, mul), zip(*mul))
+    for i, (ra, ca, rm, cm) in enumerate(rows):
+        if ra != ca or rm != cm:
+            word, j = next((word, j) for j in range(i, n) for word, t in
+                           (("addition", add), ("multiplication", mul)) if t[i][j] != t[j][i])
+            raise DomainError(f"{word} is not commutative at ({i}, {j})")
     for i in range(n):
         if add[r.zero][i] != i:
             raise DomainError(f"zero is not an additive identity at {i}")
@@ -361,24 +360,15 @@ class Ideal:
             raise DomainError("an ideal must contain zero")
         if bad := ms.difference(range(r.size)):
             raise DomainError(f"ideal member {min(bad)} is out of range")
-        (_, M, At, _), pick, S = r._byte_rows, itemgetter(*ms, r.zero), bytes(ms)
-        # the sums and the products of members (rows are columns; zero twice: pick returns a
-        # tuple even for one member), with the members deleted: nothing is left in an ideal
-        if not b"".join([*map(S.translate, pick(At)), *pick(M)]).translate(None, S):
-            return
+        (_, M, At, _), S, e = r._byte_rows, bytes(ms), r.elements
+        # per member a, the sums a + b (b in S) then the products x * a (rows are columns)
+        # with the members deleted: nothing is left in an ideal, else the first left is named
         for a in ms:
-            for b in self.members:
-                if r.add[a][b] not in self.members:
-                    raise DomainError(
-                        f"ideal is not closed under addition at "
-                        f"({r.elements[a]!r}, {r.elements[b]!r})"
-                    )
-            for x in range(r.size):
-                if r.mul[x][a] not in self.members:
-                    raise DomainError(
-                        f"ideal does not absorb multiplication at "
-                        f"({r.elements[x]!r}, {r.elements[a]!r})"
-                    )
+            if (row := S.translate(At[a]) + M[a]).translate(None, S):
+                k = next(k for k, v in enumerate(row) if v not in ms)
+                raise DomainError(
+                    f"ideal is not closed under addition at ({e[a]!r}, {e[S[k]]!r})" if k < len(S)
+                    else f"ideal does not absorb multiplication at ({e[k - len(S)]!r}, {e[a]!r})")
 
     @property
     def labels(self) -> frozenset[str]:
@@ -387,8 +377,15 @@ class Ideal:
 
 def principal_ideal(ring: FiniteRing, element: str | int) -> Ideal:
     """The ideal generated by one element (all its ring multiples)."""
-    x = ring.idx(element) if isinstance(element, str) else element
+    x = ring.idx(element) if isinstance(element, str) else _index(ring, element)
     return Ideal(ring, frozenset(ring.mul[r][x] for r in range(ring.size)))
+
+
+def _index(ring: FiniteRing, x: int) -> int:
+    """An element index given directly, once in range: a negative one does not wrap."""
+    if not 0 <= x < ring.size:
+        raise DomainError(f"element index {x!r} is out of range")
+    return x
 
 
 def _per_instance(build):
@@ -521,21 +518,14 @@ class Subring:
                 raise DomainError(f"a subring must contain {word}")
         if bad := ms.difference(range(r.size)):
             raise DomainError(f"subring member {min(bad)} is out of range")
-        pick = itemgetter(*ms, r.zero)  # zero twice: a tuple even for one member
-        if ms.issuperset(chain(*map(pick, (r.neg, *pick(r.add), *pick(r.mul))))):
-            return
-        for a in ms:
-            if r.neg[a] not in self.members:
-                raise DomainError(
-                    f"subring is not closed under negation at {r.elements[a]!r}"
-                )
-            for b in self.members:
-                for table, word in ((r.add, "addition"), (r.mul, "multiplication")):
-                    if table[a][b] not in self.members:
-                        raise DomainError(
-                            f"subring is not closed under {word} at "
-                            f"({r.elements[a]!r}, {r.elements[b]!r})"
-                        )
+        (*_, At, Mt), S, e = r._byte_rows, bytes(ms), r.elements
+        for a in ms:  # -a, then the sums and the products a + b, a * b (b in S)
+            if r.neg[a] not in ms:
+                raise DomainError(f"subring is not closed under negation at {e[a]!r}")
+            if (S.translate(At[a]) + S.translate(Mt[a])).translate(None, S):
+                word, b = next((word, b) for b in ms for word, t in (
+                    ("addition", r.add), ("multiplication", r.mul)) if t[a][b] not in ms)
+                raise DomainError(f"subring is not closed under {word} at ({e[a]!r}, {e[b]!r})")
 
     @property
     def size(self) -> int:
@@ -552,7 +542,7 @@ class Subring:
 
 def subring_closure(ambient: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
     """Smallest unital subring containing the seed elements."""
-    return _subring(ambient, seed, {})
+    return _subring(ambient, [_index(ambient, x) for x in seed], {})
 
 
 def _subring(ambient: FiniteRing, seed: Iterable[int], basis: dict) -> frozenset[int]:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
-from operator import add, and_, rshift
+from operator import add, and_, or_, rshift
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -89,7 +89,7 @@ class FinSpace:
 
     def __init__(self, carrier: Carrier, closed_masks: frozenset[int]) -> None:
         full = todo = carrier.full_mask
-        if any(m & ~full for m in closed_masks):
+        if reduce(or_, closed_masks, 0) & ~full:
             raise DomainError("closed set reaches outside the carrier")
         closures = [full] * len(carrier)  # at each point a smallest mask holding it, by size
         for m in sorted(closed_masks, key=int.bit_count):

@@ -22,8 +22,9 @@ result and message is compared.
 Subrings, which the library spans from generators, are closed here under
 every pair until nothing changes, also in characteristics 8, 9, 27 and 32,
 where a span takes more than one coset per generator.  The table, subring
-and ideal checks, which the library runs on whole rows, are compared message
-for message with the element-wise loops below.  So are the ring laws, which
+and ideal checks, which the library runs as one loop testing a row per step,
+are compared message for message with the element-wise loops below, which
+named the fault once a whole-set check had failed.  So are the ring laws, which
 the library compares as byte rows built by ``bytes.translate``, with the
 earlier loop over tuple rows picked by ``itemgetter``.  Point closures, which
 the library takes as a smallest closed set around each point in one pass
@@ -520,7 +521,8 @@ def pair_scan_hom_failure(src, tgt, f):
 
 
 def elementwise_table_check(add, mul):
-    """The range and commutativity checks of a ring's tables, entry by entry."""
+    """The range and commutativity checks of a ring's tables, entry by entry: the
+    naming loops the library ran once a check of the whole table had failed."""
     n = len(add)
     for table, word in ((add, "addition"), (mul, "multiplication")):
         for row in table:
@@ -537,7 +539,8 @@ def elementwise_table_check(add, mul):
 
 def elementwise_subring_check(r, members):
     """Subring membership, one member and one pair at a time, once the least
-    member out of range, if any, is named."""
+    member out of range, if any, is named: the naming loop the library ran once
+    a check of all the negatives, sums and products had failed."""
     for need, word in ((r.zero, "zero"), (r.one, "one")):
         if need not in members:
             raise DomainError(f"a subring must contain {word}")
@@ -558,7 +561,8 @@ def elementwise_subring_check(r, members):
 
 def elementwise_ideal_check(r, members):
     """Ideal membership, one member and one pair at a time, once the least
-    member out of range, if any, is named."""
+    member out of range, if any, is named: the naming loop the library ran once
+    a check of all the sums and products had failed."""
     if r.zero not in members:
         raise DomainError("an ideal must contain zero")
     for a in sorted(members):
@@ -1225,6 +1229,8 @@ def test_intermediate_rings_match_the_pairwise_joins():
 
 # characteristics 32, 8, 27 and 9: spans where one coset per generator is not enough
 ODD_CHARACTERISTIC = [zmod(32), product(zmod(4), zmod(8)), zmod(27), product(zmod(9), zmod(3))]
+LARGE_RINGS = [zmod(64), product(gf(16), zmod(4)), product(gf(8), gf(8)),
+               product(product(zmod(2), zmod(2)), product(gf(4), zmod(4)))]
 
 
 @pytest.mark.parametrize("ring", ODD_CHARACTERISTIC, ids=lambda r: r.name)
@@ -1238,8 +1244,8 @@ def test_subring_closure_matches_the_fixpoint_outside_characteristic_2(ring):
 
 def test_table_checks_name_what_the_entrywise_loops_name():
     rng = random.Random(2034)
-    rings = SMALL_RINGS + [zmod(33), zmod(64), product(gf(16), zmod(4)), *ODD_CHARACTERISTIC]
-    named = 0
+    rings = SMALL_RINGS + [zmod(33), *LARGE_RINGS, *ODD_CHARACTERISTIC]
+    named = Counter()
     for _ in range(800):
         ring = permuted(rng.choice(rings), rng)
         n = ring.size
@@ -1250,6 +1256,8 @@ def test_table_checks_name_what_the_entrywise_loops_name():
                 table[i][j] = rng.choice((-2, -1, n, n + 1, 2 * n))
             else:  # changed within range: not commutative unless i == j
                 table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+            if rng.random() < 0.3:  # symmetric: commutativity holds at (i, j)
+                table[j][i] = table[i][j]
         add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
         got = raised(FiniteRing, ring.elements, add, mul, ring.zero, ring.one)
         want = raised(elementwise_table_check, add, mul)
@@ -1257,19 +1265,30 @@ def test_table_checks_name_what_the_entrywise_loops_name():
             assert got is None or not re.search("out of range|not commutative", got[1])
         else:
             assert got == want
-            named += 1
-    assert named > 600
+            named[re.sub(r"^\w+ | -?\d+(?= is)| at .*", "", want[1])] += 1
+    assert sum(named.values()) > 600
+    assert named["table entry is out of range"] > 150 and named["is not commutative"] > 150
+
+
+def additive_span(ring, elements):
+    """The additive group generated by the elements, by adding until nothing is new."""
+    span = {ring.zero}
+    while new := {ring.add[a][b] for a in span for b in elements} - span:
+        span |= new
+    return frozenset(span)
 
 
 def test_member_checks_name_what_the_elementwise_loops_name():
     rng = random.Random(2035)
-    rings = SMALL_RINGS + ODD_CHARACTERISTIC
-    verdicts = {(kind, ok): 0 for kind in (Subring, Ideal) for ok in (True, False)}
+    rings = SMALL_RINGS + ODD_CHARACTERISTIC + LARGE_RINGS
+    verdicts = Counter()
     for _ in range(1500):
         ring = permuted(rng.choice(rings), rng)
         n = ring.size
         closed = [i.members for i in all_ideals(ring)]
         closed.append(subring_closure(ring, rng.sample(range(n), rng.randint(0, 2))))
+        # a group holding one: closed under + and -, but under * only by chance
+        closed.append(additive_span(ring, [ring.one, rng.randrange(n)]))
         members = set(rng.choice(closed))
         for _ in range(rng.choice((0, 1, 1, 2))):
             move = rng.random()
@@ -1278,13 +1297,23 @@ def test_member_checks_name_what_the_elementwise_loops_name():
             elif move < 0.8 and members:
                 members.discard(rng.choice(sorted(members)))
             else:
-                members.add(rng.choice((-1, n, n + 3)))
+                members.add(rng.choice((-3, -1, n, n + 3)))
+        if rng.random() < 0.1:
+            members = {rng.choice((ring.zero, ring.one, rng.randrange(n), -1))}
         members = frozenset(members)
         for kind, loop in ((Subring, elementwise_subring_check), (Ideal, elementwise_ideal_check)):
             want = raised(loop, ring, members)
             assert raised(kind, ring, members) == want
             verdicts[kind, want is None] += 1
-    assert min(verdicts.values()) > 150
+            if want:
+                verdicts[re.sub(r" at .*| -?\d+(?= is)", "", want[1])] += 1
+    assert min(verdicts[kind, ok] for kind in (Subring, Ideal) for ok in (True, False)) > 150
+    assert verdicts[Subring, False] >= 300 and verdicts[Ideal, False] >= 300
+    for fault in ("ideal member is out of range", "subring member is out of range",
+                  "ideal is not closed under addition", "ideal does not absorb multiplication",
+                  "subring is not closed under negation", "subring is not closed under addition",
+                  "subring is not closed under multiplication"):
+        assert verdicts[fault] >= 10, (fault, verdicts)
 
 
 SMALL_RINGS = [zmod(n) for n in range(2, 17)] + [gf(q) for q in (4, 8, 9, 16)] + [

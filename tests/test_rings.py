@@ -6,6 +6,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratop import (
     DomainError,
@@ -14,9 +15,15 @@ from ultratop import (
     PrincipalUltrafilter,
     RingEmbedding,
     RingHom,
+    SetFamily,
     Subring,
+    UltratopError,
     a_ultra,
     all_ideals,
+    atoms,
+    fip_check,
+    from_subbasis,
+    generic_closure,
     gf,
     integrality_certificate,
     intermediate_rings,
@@ -24,6 +31,7 @@ from ultratop import (
     is_integral,
     is_integrally_closed_in,
     is_spectral,
+    is_stable,
     limit_set,
     overring_family,
     overring_space,
@@ -34,6 +42,7 @@ from ultratop import (
     spec_functor,
     spec_space,
     specialization_order,
+    stable_closure,
     subring_closure,
     ultrafilter_prime,
     vanishing_set,
@@ -123,6 +132,9 @@ class TestFiniteRing:
         assert r.label(3) == "3"
         with pytest.raises(DomainError):
             r.idx("9")
+        for i in (-1, 5):
+            with pytest.raises(DomainError, match=f"^element index {i} is out of range$"):
+                r.label(i)
 
     def test_json_round_trip(self):
         r = zmod(4)
@@ -193,6 +205,12 @@ class TestIdeals:
         for members, named in (({0, -2}, -2), ({0, 1, 7, -1, 4}, -1), ({0, 2, 4, 9}, 4)):
             with pytest.raises(DomainError, match=f"^ideal member {named} is out of range$"):
                 Ideal(zmod(4), frozenset(members))
+
+    @pytest.mark.parametrize("index", [-1, 7, 4, -5])
+    def test_principal_ideal_checks_its_index(self, index):
+        # a negative index does not wrap around to the last elements
+        with pytest.raises(DomainError, match=f"^element index {index} is out of range$"):
+            principal_ideal(zmod(4), index)
 
     def test_primes_of_zmod_are_prime_divisors(self):
         for n in range(2, 31):
@@ -463,6 +481,11 @@ class TestIntermediateRings:
             with pytest.raises(DomainError, match=f"^subring member {named} is out of range$"):
                 Subring(zmod(4), frozenset(members))
 
+    @pytest.mark.parametrize("seed, named", [([-1], -1), ([2, 4], 4), ([1, -3, 9], -3)])
+    def test_subring_closure_checks_its_seed(self, seed, named):
+        with pytest.raises(DomainError, match=f"^element index {named} is out of range$"):
+            subring_closure(zmod(4), seed)
+
     def test_prime_field_tower_in_gf16(self):
         rings = intermediate_rings(f2_into_f16())
         assert [r.size for r in rings] == [2, 4, 16]
@@ -639,3 +662,88 @@ class TestSpecFunctor:
         assert spec_functor(ident) == {
             p: p for p in spec_space(r).carrier.points
         }
+
+
+BOUNDARY_RINGS = [zmod(4), gf(4), product(zmod(2), zmod(3)),
+                  FiniteRing(("0",), ((0,),), ((0,),), 0, 0)]
+BOUNDARY_FAMILY = SetFamily.of(["a", "b", "c", "d"], [{"a", "b"}, {"b"}, {"c"}])
+BOUNDARY_SPACE = from_subbasis(BOUNDARY_FAMILY)
+BOUNDARY_POSET = specialization_order(BOUNDARY_SPACE)
+
+
+@st.composite
+def boundary_calls(draw):
+    """A public call that takes element indices or labels, with drawn arguments of the
+    documented types: ints (negative, out of range, bools among them), labels (points
+    and not), and lists of them, nested where the labels are read as one set."""
+    ring = draw(st.sampled_from(BOUNDARY_RINGS))
+    index = st.one_of(st.integers(-ring.size - 2, ring.size + 2), st.booleans())
+    indices = st.lists(index, max_size=4)
+    element = st.one_of(st.sampled_from(ring.elements), st.text(max_size=2))
+    point = st.one_of(st.sampled_from(BOUNDARY_FAMILY.carrier.points), st.text(max_size=2))
+    points = st.lists(point, max_size=4)
+    nested = st.lists(st.one_of(point, st.lists(point, max_size=2)), max_size=4)
+    family, space, poset = BOUNDARY_FAMILY, BOUNDARY_SPACE, BOUNDARY_POSET
+    calls = {
+        "principal_ideal": (principal_ideal, st.just(ring), st.one_of(index, element)),
+        "subring_closure": (subring_closure, st.just(ring), indices),
+        "Ideal": (Ideal, st.just(ring), indices.map(frozenset)),
+        "Subring": (Subring, st.just(ring), indices.map(frozenset)),
+        "FiniteRing.label": (ring.label, index),
+        "FiniteRing.idx": (ring.idx, element),
+        "vanishing_set": (vanishing_set, st.just(ring), element),
+        "RingHom": (RingHom, st.just(ring), st.just(ring), indices.map(tuple)),
+        "RingHom.of": (RingHom.of, st.just(ring), st.just(ring), st.dictionaries(element, element)),
+        "integrality_certificate": (integrality_certificate,
+                                    st.just(Subring(ring, subring_closure(ring, ()))), element),
+        "Carrier.mask_of": (family.carrier.mask_of, nested),
+        "FinSpace.closure": (space.closure, nested),
+        "FinSpace.is_open": (space.is_open, points),
+        "generic_closure": (generic_closure, st.just(space), points),
+        "Poset.leq": (poset.leq, point, point),
+        "Poset.down": (poset.down, point),
+        "limit_set": (lambda p, base: limit_set(family, PrincipalUltrafilter.at(p, base)),
+                      point, points),
+        "is_stable": (is_stable, st.just(family), nested),
+        "stable_closure": (stable_closure, st.just(family), points),
+        "atom_of": (atoms(family).atom_of, point),
+        "fip_check": (fip_check, st.lists(points, max_size=3)),
+        "SetFamily.of": (SetFamily.of, st.just(family.carrier), st.lists(points, max_size=3)),
+    }
+    name = draw(st.sampled_from(sorted(calls)))
+    call, *args = calls[name]
+    return name, call, [draw(arg) for arg in args]
+
+
+class TestLibraryBoundary:
+    """Indices and labels handed to the library directly are checked where they enter:
+    a call returns or raises an UltratopError (the tests of each entry pin the messages
+    that name the value).  Library calls take a bool as the int it is (True is 1); the
+    JSON readers reject it.  Wrongly typed arguments, such as None for a list, raise
+    Python's own TypeError."""
+
+    @settings(max_examples=400, deadline=2000, derandomize=True, database=None)
+    @given(boundary_calls())
+    def test_every_call_returns_or_raises_an_ultratop_error(self, case):
+        name, call, args = case
+        try:
+            call(*args)
+        except UltratopError:
+            pass
+
+    def test_a_bool_is_the_int_it_is(self):
+        r = zmod(4)
+        assert principal_ideal(r, True) == principal_ideal(r, 1)
+        assert subring_closure(r, [False]) == subring_closure(r, [0])
+        assert r.label(True) == "1"
+
+    @pytest.mark.parametrize("call", [
+        lambda: principal_ideal(zmod(4), None),
+        lambda: subring_closure(zmod(4), None),
+        lambda: Ideal(zmod(4), None),
+        lambda: BOUNDARY_SPACE.closure(None),
+        lambda: is_stable(BOUNDARY_FAMILY, None),
+    ])
+    def test_wrongly_typed_arguments_stay_type_errors(self, call):
+        with pytest.raises(TypeError):
+            call()
