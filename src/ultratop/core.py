@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -420,9 +421,9 @@ def extend_ultrafilter(
 
 
 # Most intersections (ANDs of two masks) the FIP witness search may compute
-# before it gives up with a DomainError.  With k sets the worst case, where
-# only the whole list has an empty intersection, costs 2**(k + 1) - 2 of
-# them, so every list of up to 21 sets is decided.
+# before it gives up with a DomainError.  A list of k sets never costs more
+# than 2**(k + 1) - 2, so every list of up to 21 sets is decided; the costly
+# ones are those the suffix prune cannot cut (docs/theory_notes.md §6).
 MAX_FIP_MEETS = 1 << 22
 
 
@@ -445,9 +446,12 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
 
     The witness search behind ``fip_check`` and ``z_fip_check``.  For each
     size it walks the combinations depth first in lexicographic order,
-    carrying the AND of each prefix down, so every node costs one AND.
+    carrying the AND of each prefix down, one per candidate tried.  A node
+    stops at the first candidate i whose prefix meets ``suffix[i]``, the AND
+    of ``masks[i:]``, as no pick from there on can reach 0 (theory notes §6).
     """
-    if reduce(operator.and_, masks):
+    suffix = list(accumulate(reversed(masks), operator.and_))[::-1]
+    if suffix[0]:
         return None
     k = len(masks)
     meets = k
@@ -455,6 +459,8 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
     def first_empty(start: int, need: int, prefix: int) -> tuple[int, ...] | None:
         nonlocal meets
         for i in range(start, k - need + 1):
+            if prefix & suffix[i]:
+                return None
             meets += 1
             if meets > MAX_FIP_MEETS:
                 raise DomainError(

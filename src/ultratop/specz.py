@@ -17,6 +17,7 @@ the infinite phenomena this model deliberately leaves out.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import count
@@ -70,15 +71,15 @@ def _trial_divisors() -> Iterator[int]:
 
 
 def prime_factors(n: int) -> frozenset[int]:
-    """Distinct prime divisors of |n|; n must be nonzero with |n| <= 10^12.
+    """Distinct prime divisors of |n|; n must be a nonzero int with |n| <= 10^12.
 
     Trial division stops as soon as the cofactor is 1 or prime: primality
     is tested before the first division and after each factor is divided
     out, so a prime near 10^12 costs one Miller-Rabin test.
     """
+    n = abs(operator.index(n))  # a float is a TypeError, not a search without end
     if n == 0:
         raise DomainError("0 has no prime factorization")
-    n = abs(n)
     if n > FACTOR_CAP:
         raise DomainError(f"factorization inputs are capped at {FACTOR_CAP}")
     out = set()
@@ -237,6 +238,13 @@ class ZConstructible(ZSubsetDescriptor):
             )
         super().__post_init__()
 
+    @classmethod
+    def _of_primes(cls, primes: frozenset[int], cofinite: bool) -> "ZConstructible":
+        """The set of these primes or of all others, trusted to be primes: none is tested."""
+        c = cls.__new__(cls)
+        c.__dict__.update(primes=primes, cofinite=cofinite, generic=cofinite)
+        return c
+
     @property
     def contains_generic(self) -> bool:
         return self.cofinite
@@ -250,23 +258,23 @@ class ZConstructible(ZSubsetDescriptor):
         return self.cofinite and not self.primes
 
     def complement(self) -> "ZConstructible":
-        return ZConstructible(self.primes, not self.cofinite)
+        return ZConstructible._of_primes(self.primes, not self.cofinite)
 
     def union(self, other: "ZConstructible") -> "ZConstructible":
         if not self.cofinite and not other.cofinite:
-            return ZConstructible(self.primes | other.primes, False)
+            return ZConstructible._of_primes(self.primes | other.primes, False)
         if self.cofinite and other.cofinite:
-            return ZConstructible(self.primes & other.primes, True)
+            return ZConstructible._of_primes(self.primes & other.primes, True)
         cof, fin = (self, other) if self.cofinite else (other, self)
-        return ZConstructible(cof.primes - fin.primes, True)
+        return ZConstructible._of_primes(cof.primes - fin.primes, True)
 
     def intersect(self, other: "ZConstructible") -> "ZConstructible":
         if not self.cofinite and not other.cofinite:
-            return ZConstructible(self.primes & other.primes, False)
+            return ZConstructible._of_primes(self.primes & other.primes, False)
         if self.cofinite and other.cofinite:
-            return ZConstructible(self.primes | other.primes, True)
+            return ZConstructible._of_primes(self.primes | other.primes, True)
         cof, fin = (self, other) if self.cofinite else (other, self)
-        return ZConstructible(fin.primes - cof.primes, False)
+        return ZConstructible._of_primes(fin.primes - cof.primes, False)
 
     __or__, __and__, __invert__ = union, intersect, complement
 
@@ -279,11 +287,9 @@ class ZConstructible(ZSubsetDescriptor):
 
 def v_of(n: int) -> ZConstructible:
     """Vanishing locus of an integer: primes dividing it; everything for 0."""
-    if n == 0:
+    if operator.index(n) == 0:
         return ZConstructible.whole()
-    if abs(n) == 1:
-        return ZConstructible.empty()
-    return ZConstructible(prime_factors(n), False)
+    return ZConstructible._of_primes(prime_factors(n), False)
 
 
 def d_of(n: int) -> ZConstructible:

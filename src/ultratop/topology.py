@@ -224,6 +224,8 @@ class FinSpace:
 
     def minimal_open_mask(self, i: int) -> int:
         """Smallest open containing point i: the points whose closure holds i."""
+        if not 0 <= i < len(self.carrier):  # a negative index does not wrap
+            raise DomainError(f"point index {i!r} is out of range")
         return self._minimal_opens[i]
 
     def to_json(self) -> dict:

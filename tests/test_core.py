@@ -442,12 +442,14 @@ class TestFip:
             fip_check([])
 
     def test_search_is_bounded(self, monkeypatch):
-        # only the whole list of 8 sets is empty: the worst case, 2**9 - 2 ANDs
-        sets = [set(range(8)) - {i} for i in range(8)]
-        monkeypatch.setattr(core, "MAX_FIP_MEETS", 2**9 - 2)
-        assert fip_check(sets).witness == tuple(range(8))
-        monkeypatch.setattr(core, "MAX_FIP_MEETS", 2**9 - 3)
-        with pytest.raises(DomainError, match=f"capped at {2**9 - 3} intersections"):
+        # a set of 6 points, then two sets missing each of them (each holding a
+        # 7th point): with every point missed twice, a prefix holding the first
+        # set seldom meets a suffix, so the prune cuts little: 623 candidates
+        sets = [set(range(6))] + [set(range(7)) - {i} for i in range(6)] * 2
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 623)
+        assert fip_check(sets).witness == tuple(range(7))
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 622)
+        with pytest.raises(DomainError, match="capped at 622 intersections"):
             fip_check(sets)
         # a nonempty total intersection needs no search
         assert fip_check([{0}] * 40).has_fip

@@ -7,8 +7,9 @@ functions below are the earlier algorithms those replaced: they build or
 scan the whole closed-set lattice, rescan all pairs until nothing changes,
 or test every triple of labels.  They are slow but follow the definitions,
 so they serve as reference oracles on seeded random inputs.  The same holds
-for the finite intersection property (every subfamily is tried, and the
-earlier witness search that meets the sets of each combination afresh), for
+for the finite intersection property (every subfamily is tried, the
+earlier witness search that meets the sets of each combination afresh, and
+the depth-first search before the suffix prune, with its count of ANDs), for
 the Spec(Z) intersection (the complement of the union of the complements),
 for factoring (plain trial division), and for the ring laws and ring
 homomorphisms, which the library checks at additive generators only: here
@@ -93,6 +94,7 @@ from ultratop import (
     z_fip_check,
     zmod,
 )
+from ultratop import core
 from ultratop.core import _join_closure, _json_field, _json_key
 from ultratop.rings import _spectrum
 from conftest import random_family
@@ -1593,6 +1595,105 @@ def test_z_fip_check_matches_the_combination_search():
             sets, ZConstructible.intersect, operator.attrgetter("is_empty")
         )
         assert z_fip_check(sets) == expected
+
+
+def unpruned_fip_search(masks):
+    """The witness search without the suffix prune, and the ANDs it makes as
+    ``core._fip_search`` counts them: for each size, every combination depth
+    first in lexicographic order, carrying the AND of each prefix down."""
+    k = len(masks)
+    if reduce(operator.and_, masks):
+        return None, k
+    meets = k
+
+    def first_empty(start, need, prefix):
+        nonlocal meets
+        for i in range(start, k - need + 1):
+            meets += 1
+            meet = prefix & masks[i]
+            if need == 1:
+                if not meet:
+                    return (i,)
+            else:
+                found = first_empty(i + 1, need - 1, meet)
+                if found is not None:
+                    return (i, *found)
+        return None
+
+    for size in range(1, k + 1):
+        found = first_empty(0, size, -1)
+        if found is not None:
+            return found, meets
+
+
+def random_masks(rng):
+    """Up to 12 masks, over no more bits than there are masks.  Most miss one
+    bit of the full mask, some as negative (cofinite) masks, so witnesses of
+    every size up to about 9 appear."""
+    k = rng.randint(1, 12)
+    width = rng.randint(1, k)
+    masks = []
+    for _ in range(k):
+        miss = 1 << rng.randrange(width)
+        masks.append(rng.choices(
+            (~miss, ((1 << width) - 1) & ~miss, rng.getrandbits(width)), (3, 6, 1)
+        )[0])
+    return masks
+
+
+def test_pruned_fip_search_matches_the_unpruned_one_within_its_count(monkeypatch):
+    rng = random.Random(2035)
+    hard = [0b111111] + [0b1111111 & ~(1 << i) for i in range(6)] * 2
+    sizes = Counter()
+    for masks in [hard, [(1 << 12) - 1 - (1 << i) for i in range(12)]] + [
+        random_masks(rng) for _ in range(3000)
+    ]:
+        witness, meets = unpruned_fip_search(masks)
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", meets)
+        assert core._fip_search(masks) == witness
+        sizes[0 if witness is None else len(witness)] += 1
+    assert sizes[0] > 300 and all(sizes[size] > 10 for size in range(1, 7)) and max(sizes) >= 8
+
+
+def entry_support(entry):
+    """The listed primes of a ``specz-fip`` entry and whether they are excluded
+    (factoring is checked against trial division below)."""
+    if "primes" in entry:
+        return set(entry["primes"]), entry["mode"] == "cofinite"
+    n = entry.get("v_of", entry.get("d_of"))
+    return prime_factors(n) if n else set(), (n == 0) != ("d_of" in entry)
+
+
+def test_z_fip_documents_match_the_unpruned_search_within_its_count(monkeypatch):
+    rng = random.Random(2036)
+    pool = Z_PRIMES + (11, 13) + LARGE_PRIMES
+    numbers = pool + (0, 1, -1, 6, -10, 30, 77, 2 * 999983)
+    entries = (
+        lambda: {"v_of": rng.choice(numbers)},
+        lambda: {"d_of": rng.choice(numbers)},
+        lambda: {"primes": rng.sample(pool, rng.randint(0, 5)), "mode": "finite"},
+        lambda: {"primes": rng.sample(pool, rng.randint(0, 3)), "mode": "cofinite"},
+    )
+    sizes = Counter()
+    for _ in range(400):
+        if rng.random() < 0.4:  # a finite set and D(p) at each of its primes, some twice
+            primes = rng.sample(pool, rng.randint(1, 7))
+            named = primes + rng.choices(primes, k=rng.randint(0, 11 - len(primes)))
+            doc = {"sets": [{"primes": primes, "mode": "finite"}] + [{"d_of": p} for p in named]}
+            rng.shuffle(doc["sets"])
+        else:
+            shapes = rng.choices(entries, (1, 4, 2, 2), k=rng.randint(1, 12))
+            doc = {"sets": [shape() for shape in shapes]}
+        sets = list(map(entry_support, doc["sets"]))
+        bit = {p: 1 << i for i, p in enumerate(sorted(set().union(*(s for s, _ in sets))))}
+        masks = [sum(map(bit.get, s)) for s, _ in sets]
+        witness, meets = unpruned_fip_search([~m if cof else m for (_, cof), m in zip(sets, masks)])
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", meets)
+        code, out, err = call_main(["specz-fip", "-"], doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["witness"] == (None if witness is None else list(witness))
+        sizes[0 if witness is None else len(witness)] += 1
+    assert sizes[0] > 50 and all(sizes[size] > 10 for size in range(1, 9))
 
 
 def trial_division_factors(n):

@@ -19,6 +19,7 @@ from ultratop import (
     z_fip_check,
     zariski_closure,
 )
+from ultratop import specz
 from ultratop.specz import constructible_to_descriptor, descriptor_to_constructible
 
 PRIME_WINDOW = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
@@ -72,6 +73,26 @@ class TestPrimality:
             prime_factors(0)
         assert prime_factors(1) == frozenset()
         assert prime_factors(-1) == frozenset()
+
+    @pytest.mark.parametrize("call", [prime_factors, v_of, d_of])
+    @pytest.mark.parametrize("n", [1.5, 10.0, 0.0, 1.0, "6", None])
+    def test_a_non_integer_is_a_type_error(self, call, n):
+        # 1.5 once ran without end, and prime_factors(10.0) was {2, 5.0}
+        with pytest.raises(TypeError):
+            call(n)
+
+    def test_a_bool_is_the_int_it_is(self):
+        assert prime_factors(True) == frozenset()
+        assert (v_of(True), v_of(False)) == (v_of(1), v_of(0))
+        assert (d_of(True), d_of(False)) == (d_of(1), d_of(0))
+
+    def test_a_prime_is_tested_once_per_locus(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specz, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        p = 999999999989
+        c = d_of(p)
+        assert calls == [p]
+        assert c == ZConstructible(frozenset({p}), True)
 
     def test_prime_factors_cap(self):
         with pytest.raises(DomainError):
@@ -148,6 +169,15 @@ class TestConstructible:
         assert ~~a == a
         assert eval_window(~a) == frozenset(PRIME_WINDOW) - eval_window(a)
         assert (~a).contains_generic != a.contains_generic
+
+    @given(constructibles(), constructibles(), st.integers(-(10**6), 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_untested_results_are_what_the_tested_constructor_builds(self, a, b, n):
+        # results built from primes already known are not tested again
+        for c in (~a, a | b, a & b, v_of(n), d_of(n)):
+            tested = ZConstructible(c.primes, c.cofinite)
+            assert (type(c), repr(c), hash(c)) == (ZConstructible, repr(tested), hash(tested))
+            assert c == tested
 
     @given(constructibles(), constructibles(), constructibles())
     @settings(max_examples=100, deadline=None)

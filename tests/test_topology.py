@@ -89,6 +89,14 @@ class TestFinSpace:
         assert SIERPINSKI.is_open({"o"})
         assert not SIERPINSKI.is_open({"s"})
 
+    def test_minimal_opens(self):
+        assert [SIERPINSKI.minimal_open_mask(i) for i in range(2)] == [0b01, 0b11]
+
+    @pytest.mark.parametrize("i", [-1, -3, 2, 10])
+    def test_minimal_open_mask_checks_its_index(self, i):
+        with pytest.raises(DomainError, match=f"^point index {i} is out of range$"):
+            SIERPINSKI.minimal_open_mask(i)
+
     def test_closure_basics(self):
         assert SIERPINSKI.closure({"o"}) == frozenset({"o", "s"})
         assert SIERPINSKI.closure({"s"}) == frozenset({"s"})
