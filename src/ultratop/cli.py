@@ -234,19 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         help="'all' for every prime, or a comma-separated list")
     verbs["specz-closure"].add_argument("--generic", action="store_true",
                                         help="include the generic point in the input subset")
-    parser.verbs = verbs  # each verb's own parser, which main may call directly
     return parser
-
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``; a leading verb goes straight to its
-    own parser, which is about half the cost of the top parser handing it on."""
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in parser.verbs:
-        namespace = argparse.Namespace(seed=parser.get_default("seed"), verb=argv[0])
-        return parser.verbs[argv[0]].parse_args(argv[1:], namespace)
-    return parser.parse_args(argv)
 
 
 def _dumps(value, indent: str = "\n") -> str:
@@ -282,8 +270,9 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parse_args(argv)
+        args = parser.parse_args(argv)
         handler, _, dot = _VERBS[args.verb]
         if args.format == "dot" and not dot:
             raise InputError(f"{args.verb} supports only --format json")

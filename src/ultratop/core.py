@@ -420,10 +420,11 @@ def extend_ultrafilter(
     return PrincipalUltrafilter(z, ultra.point)
 
 
-# Most intersections (ANDs of two masks) the FIP witness search may compute
-# before it gives up with a DomainError.  A list of k sets never costs more
-# than 2**(k + 1) - 2, so every list of up to 21 sets is decided; the costly
-# ones are those the suffix prune cannot cut (docs/theory_notes.md §6).
+# Most steps the FIP witness search may take before it gives up with a
+# DomainError.  A step tries one candidate: at most two ANDs of masks and one
+# call.  A list of k sets never takes more than 2**(k + 1) - 2 steps, so every
+# list of up to 21 sets is decided; the costly ones are those the suffix
+# prune cannot cut (docs/theory_notes.md §6).
 MAX_FIP_MEETS = 1 << 22
 
 
@@ -446,9 +447,10 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
 
     The witness search behind ``fip_check`` and ``z_fip_check``.  For each
     size it walks the combinations depth first in lexicographic order,
-    carrying the AND of each prefix down, one per candidate tried.  A node
-    stops at the first candidate i whose prefix meets ``suffix[i]``, the AND
-    of ``masks[i:]``, as no pick from there on can reach 0 (theory notes §6).
+    carrying the AND of each prefix down.  A node stops at the first
+    candidate i whose prefix meets ``suffix[i]``, the AND of ``masks[i:]``, as
+    no pick from there on can reach 0 (theory notes §6).  Each candidate
+    tested, the one that stops its node too, is a step against the cap.
     """
     suffix = list(accumulate(reversed(masks), operator.and_))[::-1]
     if suffix[0]:
@@ -459,13 +461,13 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
     def first_empty(start: int, need: int, prefix: int) -> tuple[int, ...] | None:
         nonlocal meets
         for i in range(start, k - need + 1):
-            if prefix & suffix[i]:
-                return None
             meets += 1
             if meets > MAX_FIP_MEETS:
                 raise DomainError(
                     f"the FIP witness search is capped at {MAX_FIP_MEETS} intersections"
                 )
+            if prefix & suffix[i]:
+                return None
             meet = prefix & masks[i]
             if need == 1:
                 if not meet:

@@ -444,12 +444,12 @@ class TestFip:
     def test_search_is_bounded(self, monkeypatch):
         # a set of 6 points, then two sets missing each of them (each holding a
         # 7th point): with every point missed twice, a prefix holding the first
-        # set seldom meets a suffix, so the prune cuts little: 623 candidates
+        # set seldom meets a suffix, so the prune cuts little: 919 steps
         sets = [set(range(6))] + [set(range(7)) - {i} for i in range(6)] * 2
-        monkeypatch.setattr(core, "MAX_FIP_MEETS", 623)
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 919)
         assert fip_check(sets).witness == tuple(range(7))
-        monkeypatch.setattr(core, "MAX_FIP_MEETS", 622)
-        with pytest.raises(DomainError, match="capped at 622 intersections"):
+        monkeypatch.setattr(core, "MAX_FIP_MEETS", 918)
+        with pytest.raises(DomainError, match="capped at 918 intersections"):
             fip_check(sets)
         # a nonempty total intersection needs no search
         assert fip_check([{0}] * 40).has_fip

@@ -9,7 +9,7 @@ or test every triple of labels.  They are slow but follow the definitions,
 so they serve as reference oracles on seeded random inputs.  The same holds
 for the finite intersection property (every subfamily is tried, the
 earlier witness search that meets the sets of each combination afresh, and
-the depth-first search before the suffix prune, with its count of ANDs), for
+the depth-first search before the suffix prune, with its count of steps), for
 the Spec(Z) intersection (the complement of the union of the complements),
 for factoring (plain trial division), and for the ring laws and ring
 homomorphisms, which the library checks at additive generators only: here
@@ -1598,9 +1598,10 @@ def test_z_fip_check_matches_the_combination_search():
 
 
 def unpruned_fip_search(masks):
-    """The witness search without the suffix prune, and the ANDs it makes as
-    ``core._fip_search`` counts them: for each size, every combination depth
-    first in lexicographic order, carrying the AND of each prefix down."""
+    """The witness search without the suffix prune, and its steps as
+    ``core._fip_search`` counts them, one per candidate tried, which bound the
+    pruned search's: for each size, every combination depth first in
+    lexicographic order, carrying the AND of each prefix down."""
     k = len(masks)
     if reduce(operator.and_, masks):
         return None, k
