@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .core import (
-    DomainError, InputError, SetFamily, UltratopError, _json_field, _json_key, atoms, is_stable,
+    DomainError, InputError, SetFamily, UltratopError, _json_field, _json_key, atoms,
     stable_closure,
 )
 from .rings import (
@@ -87,11 +87,8 @@ def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
 def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
     family = SetFamily.from_json(_json_key(doc, "family", dict), "family.")
     subset = frozenset(_json_key(doc, "set", list, item=str))
-    return {
-        "set": sorted(subset),
-        "closure": sorted(stable_closure(family, subset)),
-        "is_stable": is_stable(family, subset),
-    }
+    closure = stable_closure(family, subset)  # stable exactly when it is its own closure
+    return {"set": sorted(subset), "closure": sorted(closure), "is_stable": closure == subset}
 
 
 def _cmd_atoms(args: argparse.Namespace, doc: dict) -> _Body:

@@ -71,10 +71,6 @@ def _json_key(doc: dict, key: str, kind: type, at: str = "", item: type | None =
     return _json_field(doc[key], kind, at + key, item)
 
 
-def _set_label(labels: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(labels)) + "}"
-
-
 def _union_at(masks: Sequence[int], selector: int) -> int:
     """Union of masks[i] over the set bits i of the selector; bits past the list are ignored."""
     out, selector = 0, selector & ((1 << len(masks)) - 1)
@@ -198,6 +194,14 @@ class SetFamily:
             raise DomainError("one name per member is required")
         return cls(carrier, tuple(zip(names, frozen)))
 
+    @classmethod
+    def _of_masks(cls, carrier: Carrier, members: Iterable[tuple[str, frozenset[str]]],
+                  masks: Iterable[int]) -> "SetFamily":
+        """The family of these members with these masks, trusted to agree: nothing is read back."""
+        family = cls.__new__(cls)
+        family.__dict__.update(carrier=carrier, members=tuple(members), masks=tuple(masks))
+        return family
+
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(self.carrier.mask_of(s) for _, s in self.members)
@@ -214,9 +218,6 @@ class SetFamily:
                 keep &= m if (m >> i) & 1 else ~m
             out.append(keep)
         return tuple(out)
-
-    def subsets(self) -> tuple[frozenset[str], ...]:
-        return tuple(s for _, s in self.members)
 
     def normalize(self) -> "SetFamily":
         """Deduplicate subsets (first name wins) and sort by member content."""
@@ -381,16 +382,16 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
 
     The three results are independent closures of the input (the complement
     closure is the family together with all member complements).  Members of
-    the returned families are named by their content and normalized.
+    the returned families are named by their content and normalized.  Each
+    mask is spelled once, in carrier order (so sorted), and kept as the member's mask.
     """
     carrier = family.carrier
     full = carrier.full_mask
 
-    def build(masks: Iterable[int]) -> SetFamily:
-        subsets = sorted(carrier.tuple_of(m) for m in set(masks))
-        return SetFamily(
-            carrier, tuple((_set_label(s), frozenset(s)) for s in subsets)
-        )
+    def build(masks: set[int]) -> SetFamily:
+        spelled = sorted((carrier.tuple_of(m), m) for m in masks)
+        members = tuple(("{" + ",".join(s) + "}", frozenset(s)) for s, _ in spelled)
+        return SetFamily._of_masks(carrier, members, (m for _, m in spelled))
 
     inter = _join_closure(family.masks, operator.and_)
     union = _join_closure(family.masks, operator.or_)

@@ -663,9 +663,6 @@ class IntegralityCertificate:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def as_labels(self) -> tuple[str, ...]:
-        return tuple(self.subring.ambient.elements[c] for c in self.coeffs)
-
     def verify(self) -> bool:
         """Monic, coefficients in the subring, and evaluates to zero."""
         r = self.subring.ambient

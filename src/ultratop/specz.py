@@ -27,9 +27,11 @@ from .core import DomainError, FipResult, _fip_search, _json_field, _json_key
 
 FACTOR_CAP = 10**12
 
-# witnesses proving Miller-Rabin deterministic below 3_317_044_064_679_887_385_961_981
+# witnesses proving Miller-Rabin deterministic below 3_317_044_064_679_887_385_961_981;
+# the first six, 2 to 13, suffice below 3_474_749_660_383 (Jaeschke), so below FACTOR_CAP
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_SHORT_BOUND = 3_474_749_660_383
 
 
 def is_prime(n: int) -> bool:
@@ -46,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:6] if n < _MR_SHORT_BOUND else _MR_BASES:
         if a % n == 0:
             continue  # a witness divisible by n says nothing
         x = pow(a, d, n)
@@ -295,14 +297,6 @@ def v_of(n: int) -> ZConstructible:
 def d_of(n: int) -> ZConstructible:
     """Principal open locus: the complement of the vanishing locus."""
     return v_of(n).complement()
-
-
-def constructible_to_descriptor(c: ZConstructible) -> ZSubsetDescriptor:
-    return ZSubsetDescriptor(c.primes, c.cofinite, c.generic)
-
-
-def descriptor_to_constructible(y: ZSubsetDescriptor) -> ZConstructible:
-    return ZConstructible(y.primes, y.cofinite, y.generic)
 
 
 def limit_points(y: ZSubsetDescriptor) -> ZSubsetDescriptor:

@@ -159,8 +159,8 @@ class FinSpace:
     def _not_closed(self, word: str, a: int, b: int) -> DomainError:
         return DomainError(
             f"closed sets are not closed under {word}: "
-            f"{sorted(self.carrier.labels_of(a))} and "
-            f"{sorted(self.carrier.labels_of(b))}"
+            f"{list(self.carrier.tuple_of(a))} and "
+            f"{list(self.carrier.tuple_of(b))}"
         )
 
     @cached_property

@@ -11,12 +11,14 @@ for the finite intersection property (every subfamily is tried, the
 earlier witness search that meets the sets of each combination afresh, and
 the depth-first search before the suffix prune, with its count of steps), for
 the Spec(Z) intersection (the complement of the union of the complements),
-for factoring (plain trial division), and for the ring laws and ring
-homomorphisms, which the library checks at additive generators only: here
-every triple of elements, and every pair, is tried.  Closed-set listings,
-which the library sorts in C as bit-reversed masks and writes from tables
-of label runs, 6 points each, are compared with label tuples sorted twice,
-with ``json.dumps`` and with the earlier sort by one integer key per mask.
+for factoring (plain trial division), for primality (Miller-Rabin with all
+13 bases, which ``is_prime`` tries only from 3 474 749 660 383 up), and for
+the ring laws and ring homomorphisms, which the library checks at additive
+generators only: here every triple of elements, and every pair, is tried.
+Closed-set listings, which the library sorts in C as bit-reversed masks
+and writes from tables of label runs, 6 points each, are compared with label
+tuples sorted twice, with ``json.dumps`` and with the earlier sort by one
+integer key per mask.
 Closed sets read from documents, which the library accepts by one union
 equality, are read here as before, set by set and pair by pair, and every
 result and message is compared.
@@ -38,6 +40,9 @@ lattice, and a prime's label by scanning the whole ring for a generator.
 Partial orders, which the library stores and checks as down-set masks and
 turns into label pairs only when asked, are checked here as before, by
 walking every label pair, message for message.
+The Boolean closures of a family, which the library names from masks spelled
+once and keeps with those masks, are built here as before: label tuples
+sorted, named by their sorted labels, and read back by ``SetFamily``.
 """
 
 import ast
@@ -79,6 +84,7 @@ from ultratop import (
     gf,
     intermediate_rings,
     is_continuous,
+    is_prime,
     is_spectral,
     is_stable,
     limit_set,
@@ -94,7 +100,7 @@ from ultratop import (
     z_fip_check,
     zmod,
 )
-from ultratop import core
+from ultratop import core, specz
 from ultratop.core import _join_closure, _json_field, _json_key
 from ultratop.rings import _spectrum
 from conftest import random_family
@@ -1133,6 +1139,36 @@ def test_family_machinery_matches_the_signature_loops():
                 assert limit_set(family, ultra) == carrier.labels_of(expect)
 
 
+def set_label(labels):
+    return "{" + ",".join(sorted(labels)) + "}"
+
+
+def labelled_family(carrier, masks):
+    """The family of the masks as ``family_transforms`` built it before: each
+    mask spelled, the label tuples sorted, each named by its sorted labels, and
+    the public constructor reading every member back to its mask."""
+    subsets = sorted(carrier.tuple_of(m) for m in set(masks))
+    return SetFamily(carrier, tuple((set_label(s), frozenset(s)) for s in subsets))
+
+
+def test_family_transforms_match_the_labelled_families():
+    rng = random.Random(2041)
+    for n in [rng.randint(1, 20) for _ in range(120)] + [1, 20]:
+        labels = odd_labels(rng, n) if rng.random() < 0.5 else [f"x{i}" for i in range(n)]
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+        family = SetFamily.of(labels, [[x for i, x in enumerate(labels) if m >> i & 1]
+                                       for m in masks])
+        carrier, full = family.carrier, family.carrier.full_mask
+        expect = (labelled_family(carrier, fixpoint_closure(family.masks, operator.and_)),
+                  labelled_family(carrier, fixpoint_closure(family.masks, operator.or_)),
+                  labelled_family(carrier, {*family.masks, *(~m & full for m in family.masks)}))
+        for got, want in zip(family_transforms(family), expect, strict=True):
+            assert got == want
+            assert got.masks == want.masks  # dataclass equality skips the cached masks
+            public = SetFamily(got.carrier, got.members)
+            assert got == public and got.masks == public.masks
+
+
 def test_limit_set_rejects_a_base_outside_the_carrier():
     family = SetFamily.of(["a", "b"], [{"a"}])
     with pytest.raises(DomainError):
@@ -1705,6 +1741,52 @@ def trial_division_factors(n):
             n //= d
         d += 1
     return frozenset(out | ({n} if n > 1 else set()))
+
+
+THIRTEEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+BASE_PRODUCT = math.prod(THIRTEEN_BASES)
+
+
+def miller_rabin(n, bases=THIRTEEN_BASES):
+    """Miller-Rabin with the given bases; with all 13, as ``is_prime`` ran at
+    every size before."""
+    if n < 2 or math.gcd(n, BASE_PRODUCT) > 1:
+        return n in THIRTEEN_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_the_thirteen_bases():
+    """Below 3 474 749 660 383, and so below FACTOR_CAP, ``is_prime`` tries
+    the bases 2 to 13 only."""
+    rng = random.Random(2043)
+    for n in [*range(10**6), *(rng.randrange(specz.FACTOR_CAP) for _ in range(10_000))]:
+        assert is_prime(n) == miller_rabin(n), n
+
+
+@pytest.mark.parametrize("factors, bases", [((151, 751, 28351), 4), ((6763, 10627, 29947), 5),
+                                            ((1303, 16927, 157543), 6)],
+                         ids=["psp-2-to-7", "psp-2-to-11", "psp-2-to-13"])
+def test_strong_pseudoprimes_to_the_first_bases_are_composite(factors, bases):
+    """The least strong pseudoprimes to the bases 2-7, 2-11 and 2-13: each
+    passes those bases, and is composite.  The last, 3 474 749 660 383, is the
+    bound itself, so it takes all 13 bases."""
+    n = math.prod(factors)
+    assert n in (3_215_031_751, 2_152_302_898_747, specz._MR_SHORT_BOUND)
+    assert miller_rabin(n, THIRTEEN_BASES[:bases])
+    assert not is_prime(n) and not miller_rabin(n)
 
 
 def test_prime_factors_match_trial_division():

@@ -10,6 +10,9 @@ Python, when one is installed here, and must print what it prints in process.
 
 Every ``raise`` raises an ``UltratopError``, so that any other exception
 reaching the CLI is a library bug and exits 3.
+
+Every module-level name is exported by ``ultratop/__init__.py`` or read
+somewhere in the package outside its own statement, so dead helpers fail.
 """
 
 import ast
@@ -22,6 +25,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,41 @@ def test_every_raise_is_an_ultratop_error(path):
         assert issubclass(exc, UltratopError) or (path.name, function, exc) in NOT_ULTRATOP, (
             f"{path.name}:{line} in {function} raises {exc.__name__}"
         )
+
+
+def defined_names(node: ast.stmt):
+    """The names a module-level statement binds: a def or class, assignment
+    targets and imports (``from __future__`` binds nothing usable)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+        yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+
+
+def used_names(tree: ast.AST) -> Counter:
+    """How often each name is read in the tree: as a name, an attribute or an import."""
+    used = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            used.update(a.name for a in n.names)
+    return used
+
+
+def test_every_module_level_name_is_exported_or_used():
+    """A module-level name of the package that ``__init__`` does not export
+    and no code in the package reads, outside its own statement, is dead."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    exported = {a.asname or a.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = sum(map(used_names, trees.values()), Counter())
+    dead = [f"{name}: {d}" for name, tree in trees.items() if name != "__init__.py"
+            for node in tree.body for d in defined_names(node)
+            if d not in exported and not used[d] - used_names(node)[d]]
+    assert dead == []

@@ -20,7 +20,6 @@ from ultratop import (
     zariski_closure,
 )
 from ultratop import specz
-from ultratop.specz import constructible_to_descriptor, descriptor_to_constructible
 
 PRIME_WINDOW = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
 
@@ -211,14 +210,16 @@ class TestConstructible:
 class TestDescriptor:
     def test_constructible_round_trip(self):
         for c in (v_of(30), d_of(30), ZConstructible.empty(), ZConstructible.whole()):
-            assert descriptor_to_constructible(constructible_to_descriptor(c)) == c
+            assert isinstance(c, ZSubsetDescriptor)
+            y = ZSubsetDescriptor(c.primes, c.cofinite, c.generic)
+            assert ZConstructible(y.primes, y.cofinite, y.generic) == c
 
     def test_non_constructible_shapes_are_expressible(self):
         closed_pts = ZSubsetDescriptor.max_points()
         assert closed_pts.has_infinite_prime_support
         assert not closed_pts.contains(ZPoint.generic())
         with pytest.raises(DomainError):
-            descriptor_to_constructible(closed_pts)
+            ZConstructible(closed_pts.primes, closed_pts.cofinite, closed_pts.generic)
 
     def test_is_subset_of(self):
         fin = ZSubsetDescriptor.finite([2, 3])
