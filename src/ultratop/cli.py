@@ -25,7 +25,8 @@ import json
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .core import (
     DomainError, InputError, SetFamily, UltratopError, _json_field, _json_key, atoms,
@@ -71,13 +72,22 @@ def _read_doc(path: str) -> dict:
     return _json_field(doc, dict, "the document")
 
 
-class _EncodedSets(list):
-    """Closed sets from ``FinSpace._listing``, labels JSON-encoded; only ``_dumps`` writes it."""
+# JSON text that ``_dumps`` writes as it is, at the indent it was rendered for only
+_Json = NamedTuple("_Json", [("text", str), ("indent", str)])
+
+
+def _closed_json(space: FinSpace, indent: str = "\n  ") -> _Json:
+    """The closed sets as ``_dumps`` writes their list at this indent, in one join: the
+    listing spells each set with a separator before each label, and starts with the empty set."""
+    inner = indent + "  "
+    sets = space._listing(lambda p: "," + inner + "  " + encode_basestring_ascii(p), "")
+    tails = map(itemgetter(slice(1, None)), sets[1:])  # each nonempty set without its first ","
+    return _Json(f"[{inner}[],{inner}[" + f"{inner}],{inner}[".join(tails) + f"{inner}]{indent}]",
+                 indent)
 
 
 def _space_body(space: FinSpace) -> dict:
-    return {"carrier": list(space.carrier.points),
-            "closed": _EncodedSets(space._listing(encode_basestring_ascii))}
+    return {"carrier": list(space.carrier.points), "closed": _closed_json(space)}
 
 
 def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
@@ -124,7 +134,7 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
             {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
             for label, mem in _spectrum(ring)
         ],
-        "closed": _EncodedSets(space._listing(encode_basestring_ascii)),
+        "closed": _closed_json(space),
     }
 
 
@@ -235,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dumps(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for documents of string
-    keyed dicts, lists, tuples, strings, ints, booleans, None and
-    ``_EncodedSets`` (one join per set).  With an indent ``json.dumps`` runs its
-    pure-Python encoder; this writer keeps the C one.  Other types raise TypeError."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` for documents of string keyed dicts,
+    lists, tuples, strings, ints, booleans, None and ``_Json`` text (an ``UltratopError`` off
+    its indent).  With an indent ``json.dumps`` runs its pure-Python encoder; this writer
+    keeps the C one.  Other types raise TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -247,11 +257,12 @@ def _dumps(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, _Json):
+        if value.indent != indent:
+            raise UltratopError(f"JSON of depth {len(value.indent) // 2} at {len(indent) // 2}")
+        return value.text
     inner, brackets = indent + "  ", "[]"
-    if isinstance(value, _EncodedSets):  # one join per set, no call per label
-        head, sep = "[" + inner + "  ", "," + inner + "  "
-        items = [f"{head}{sep.join(run)}{inner}]" if run else "[]" for run in value]
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -77,6 +77,28 @@ def _union_at(masks: Sequence[int], selector: int) -> int:
     while selector:
         out |= masks[(low := selector & -selector).bit_length() - 1]
         selector ^= low
+    return out
+
+
+def _spell(runs: Sequence[_T], masks: Sequence[int], empty: _T, high_first=False) -> list[_T]:
+    """Per mask, the sum of ``runs[i]`` over its set bits i, lowest bit first (highest first
+    with ``high_first``): the mask's labels joined, if each run is a label as a 1-tuple or a
+    separator-prefixed string.  Masks have no bit past the runs, of which there is at least one.
+    The runs go in the fewest chunks of at most min(11, bit length of the mask count) bits, all
+    of w bits but the last, each read from a table of its sums built per call (theory notes §3)."""
+    n, widest = len(runs), max(1, min(11, len(masks).bit_length()))
+    w = -(-n // -(-n // widest))  # ceil(n / chunks), with chunks = ceil(n / widest)
+    for s in range(0, n, w):
+        table = [empty]
+        for r in runs[s:s + w]:
+            table += [r + t for t in table] if high_first else [t + r for t in table]
+        index = map(operator.rshift, masks, repeat(s)) if s else masks
+        if s + w < n:  # the highest chunk needs no mask
+            index = map(operator.and_, index, repeat((1 << w) - 1))
+        part = map(table.__getitem__, index)
+        if s:
+            part = map(operator.add, part, out) if high_first else map(operator.add, out, part)
+        out = list(part)
     return out
 
 
@@ -382,16 +404,18 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
 
     The three results are independent closures of the input (the complement
     closure is the family together with all member complements).  Members of
-    the returned families are named by their content and normalized.  Each
-    mask is spelled once, in carrier order (so sorted), and kept as the member's mask.
+    the returned families are named by their content and normalized.  Each family's
+    masks are spelled in one ``_spell`` call and kept as its members' masks.
     """
     carrier = family.carrier
-    full = carrier.full_mask
+    full, units = carrier.full_mask, [(p,) for p in carrier.points]
 
     def build(masks: set[int]) -> SetFamily:
-        spelled = sorted((carrier.tuple_of(m), m) for m in masks)
-        members = tuple(("{" + ",".join(s) + "}", frozenset(s)) for s, _ in spelled)
-        return SetFamily._of_masks(carrier, members, (m for _, m in spelled))
+        spelled = dict(zip(masks, _spell(units, list(masks), ())))
+        masks = sorted(masks, key=spelled.__getitem__)  # by label tuple
+        tuples = list(map(spelled.__getitem__, masks))
+        names = map("{%s}".__mod__, map(",".join, tuples))
+        return SetFamily._of_masks(carrier, zip(names, map(frozenset, tuples)), masks)
 
     inter = _join_closure(family.masks, operator.and_)
     union = _join_closure(family.masks, operator.or_)

@@ -7,7 +7,8 @@ closures, and its smallest open around a point is the up-set of that point.
 So every construction and query costs polynomial time in the number of
 points.  The closed sets are an output format, listed only when asked for,
 only up to ``MAX_CLOSED_SETS`` of them, as unions of bit-reversed point
-closures, sorted twice in C and spelled out from label tables per 6 points.
+closures, sorted twice in C and spelled in one batch from tables of label
+runs, at most 11 points wide and narrower for fewer sets.
 
 A space built with the plain constructor is trusted to satisfy the axioms;
 it takes a smallest closed set around each point, in one pass by size, as
@@ -23,12 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
-from operator import add, and_, or_, rshift
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
-    Carrier, DomainError, SetFamily, UltratopError, _json_field, _json_key, _union_at
+    Carrier, DomainError, SetFamily, UltratopError, _T, _json_field, _json_key, _spell, _union_at
 )
 
 # Most closed sets a space may list.  A space of n points has up to 2**n of
@@ -174,27 +174,19 @@ class FinSpace:
         full = self.carrier.full_mask
         return frozenset((~m) & full for m in self.closed_masks)
 
-    def _listing(self, label: Callable[[str], object] = str) -> list[list]:
-        """The closed sets sorted by size then labels, each as the list of its points' ``label``s:
-        sets of one size by descending mask with point i as bit n-1-i (docs/theory_notes.md §3),
-        read 6 points at a time from tables of label runs."""
-        n, labels = len(self.carrier), list(map(label, self.carrier.points))
+    def _listing(self, run: Callable[[str], _T], empty: _T) -> list[_T]:
+        """The closed sets sorted by size then labels, the empty one first, each as the sum of
+        its points' ``run``s in carrier order: sets of one size by descending mask with point i
+        as bit n-1-i (docs/theory_notes.md §3), spelled by ``_spell`` in one call."""
+        n = len(self.carrier)
         masks = sorted(_unions(int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
                                for cl in self.point_closures), reverse=True)
         masks.sort(key=int.bit_count)
-        runs = [[]] * len(masks)
-        for s in range(0, n, 6):  # bit s + k of a mask is point n-1-s-k
-            table = [[]]
-            for q in labels[::-1][s:s + 6]:
-                table += [[q, *run] for run in table]
-            index = map(rshift, masks, repeat(s))  # the highest chunk needs no mask
-            part = map(table.__getitem__, index if s + 6 >= n else map(and_, index, repeat(63)))
-            runs = list(map(add, part, runs))
-        return runs
+        return _spell([run(p) for p in reversed(self.carrier.points)], masks, empty, True)
 
     def closed_sets(self) -> tuple[frozenset[str], ...]:
         """Closed sets as label sets, sorted by size then labels."""
-        return tuple(map(frozenset, self._listing()))
+        return tuple(map(frozenset, self._listing(lambda p: (p,), ())))
 
     def is_closed(self, subset: Iterable[str]) -> bool:
         return self.closure_mask(m := self.carrier.mask_of(subset)) == m
@@ -231,7 +223,7 @@ class FinSpace:
     def to_json(self) -> dict:
         return {
             "carrier": list(self.carrier.points),
-            "closed": self._listing(),
+            "closed": self._listing(lambda p: [p], []),
         }
 
     @classmethod

@@ -8,14 +8,14 @@ import re
 import subprocess
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultratop import (
-    DomainError, FiniteRing, FinSpace, SetFamily, UltratopError, ZConstructible, gf, product, zmod,
+    DomainError, FiniteRing, FinSpace, SetFamily, UltratopError, ZConstructible, gf, product,
+    ultra_topology, zmod,
 )
 from ultratop import cli, rings
 from ultratop.cli import main
@@ -738,23 +738,38 @@ JSON_TEXT = st.text(
     st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfffé€😀') | st.characters(exclude_categories=()),
     max_size=6,
 )
-# closed-set listings as the CLI hands them to the writer, labels encoded
-ENCODED_SETS = st.lists(
-    st.lists(JSON_TEXT.map(encode_basestring_ascii), max_size=4), max_size=4
-).map(cli._EncodedSets)
+# spaces of up to 5 points, each standing for its closed sets as the CLI renders them
+SPACES = st.tuples(
+    st.lists(JSON_TEXT, min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(0, 31), min_size=1, max_size=3),
+).map(lambda drawn: ultra_topology(SetFamily.of(drawn[0], [
+    [x for i, x in enumerate(drawn[0]) if m >> i & 1] for m in drawn[1]])))
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | JSON_TEXT
-    | ENCODED_SETS,
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | JSON_TEXT | SPACES,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(JSON_TEXT, kids, max_size=4)),
     max_leaves=12,
 )
+# a listing whose labels escape or hold JSON separators, and the smallest listing
+ODD_SPACE = ultra_topology(SetFamily.of(["a", "é", '"x', "[,]\n"], [["a", "é"], ['"x']]))
+ONE_POINT = ultra_topology(SetFamily.of(["p"], [[]]))
+
+
+def placed(value, indent="\n"):
+    """The value with each space as its closed sets' ``_Json``, rendered where it stands."""
+    if isinstance(value, FinSpace):
+        return cli._closed_json(value, indent)
+    if isinstance(value, dict):
+        return {k: placed(v, indent + "  ") for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(placed(v, indent + "  ") for v in value)
+    return value
 
 
 def plain(value):
-    """The value with each ``_EncodedSets`` as the lists of strings it stands for."""
-    if isinstance(value, cli._EncodedSets):
-        return [[json.loads(label) for label in run] for run in value]
+    """The value with each space as the lists of labels of its closed sets."""
+    if isinstance(value, FinSpace):
+        return value.to_json()["closed"]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -772,14 +787,20 @@ class TestOutputPath:
     @settings(max_examples=300, derandomize=True, database=None)
     @given(JSON_TREES)
     def test_writer_matches_json_dumps(self, value):
-        assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
+        assert cli._dumps(placed(value)) == json.dumps(plain(value), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("depth", range(5))
     def test_writer_writes_encoded_sets_at_any_depth(self, depth):
-        sets = cli._EncodedSets([[], ['"a"', '"\\u00e9"'], ['"\\"x"'], []])
-        for value in (sets, cli._EncodedSets()):
-            value = nested(value, depth)
-            assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
+        for space in (ODD_SPACE, ONE_POINT):
+            value = nested(space, depth)
+            assert cli._dumps(placed(value)) == json.dumps(plain(value), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_writer_refuses_rendered_text_at_another_depth(self, depth):
+        text = cli._closed_json(ODD_SPACE, "\n" + "  " * depth)
+        for other in set(range(6)) - {depth}:
+            with pytest.raises(UltratopError, match=f"of depth {depth} at {other}$"):
+                cli._dumps(nested(text, other))
 
     def test_writer_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -364,6 +364,26 @@ class TestTransforms:
             assert limit_set(t.complements, u) == base
 
 
+class TestSpell:
+    def test_chunks_are_fewest_and_at_most_11_points(self):
+        class Runs(list):  # records the width of each chunk the speller reads
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    widths.append(len(range(*key.indices(len(self)))))
+                return list.__getitem__(self, key)
+
+        rng = random.Random(53)
+        for n in (1, 7, 12, 21, 25, 37):
+            for count in (1, 2, 5, 64, 1000, 1024, 5000):
+                masks, widths = [rng.getrandbits(n) for _ in range(count)], []
+                spelled = core._spell(Runs((f"p{i}",) for i in range(n)), masks, (), count % 2)
+                widest = min(11, count.bit_length())
+                assert sum(widths) == n and len(widths) == -(-n // widest), (n, count, widths)
+                assert len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0] <= widest
+                expect = [tuple(f"p{i}" for i in range(n) if m >> i & 1) for m in masks]
+                assert spelled == [e[::-1] if count % 2 else e for e in expect]
+
+
 class TestRestrictExtend:
     def test_restrict_requires_point_inside(self):
         u = PrincipalUltrafilter.at("a", {"a", "b"})

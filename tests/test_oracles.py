@@ -793,7 +793,9 @@ def dumped(body):
 # Text order of the labels' JSON strings is not label order: "a" < "a!" and
 # "z" < "é", but '"a!"' < '"a"' and '"\\u00e9"' < '"z"'.
 PREFIX_LABELS = ["a", "a!", "a ", "é", "z"]
-ODD_CHARS = ["a", "!", " ", "é", "z", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "😀"]
+# The JSON separators '[', ',', ']', a newline and '"' catch a fix-up of the rendered text.
+ODD_CHARS = ["a", "!", " ", "é", "z", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "😀",
+             "[", ",", "]", "\n"]
 
 
 def odd_labels(rng, n):
@@ -819,9 +821,15 @@ def layered_poset(rng, labels):
     return Poset.from_pairs(labels, pairs)
 
 
+def partition_family(labels, k):
+    """k members splitting the labels into k nonempty blocks, so 2**k stable sets."""
+    return SetFamily.of(labels, [labels[i::k] for i in range(k)])
+
+
 def test_listings_match_the_sorted_label_tuples():
     rng = random.Random(2036)
-    sizes = [1, 2, 3, 5, 6, 7, 9, 13, 31, 63, 65, 67, 70] + [rng.randint(1, 70) for _ in range(27)]
+    sizes = [1, 2, 3, 5, 6, 7, 9, 13, 21, 25, 31, 37, 63, 65, 67, 70] + [
+        rng.randint(1, 70) for _ in range(27)]
     for n in sizes:
         labels = odd_labels(rng, n)
         family = few_members(rng, labels)
@@ -832,6 +840,9 @@ def test_listings_match_the_sorted_label_tuples():
             (subbasis, None, None),
             (poset_to_space(layered_poset(rng, labels)), None, None),
         ]
+        if n in (13, 21, 25, 37):  # 2**11 and 2**12 sets, chunks at the 11-point cap
+            cases += [(ultra_topology(wide := partition_family(labels, k)), "ultra-topology",
+                       wide.to_json()) for k in (11, 12)]
         for space, verb, doc in cases:
             expect = {"carrier": labels, "closed": list(map(list, closed_tuples(space)))}
             assert space.to_json() == expect
@@ -1009,25 +1020,33 @@ def test_point_closures_and_validate_match_the_meets():
     assert verdicts["closed sets are not closed under union"] >= 50, verdicts
 
 
+# (run, empty) pairs a listing sums: label tuples, lists, and the CLI's separator-prefixed text
+LISTING_RUNS = [(lambda p: (p,), ()), (lambda p: [p], []),
+                (lambda p: ",\n      " + encode_basestring_ascii(p), "")]
+
+
 def test_listing_matches_the_key_sorted_masks():
     rng = random.Random(2043)
-    for n in [*range(1, 25), 6, 7, 8, 9, 12, 13, 16, 17, 33, 40, 64]:
+    spaces = []
+    for n in [*range(1, 25), 6, 7, 8, 9, 12, 13, 16, 17, 21, 25, 33, 37, 40, 64]:
         labels = odd_labels(rng, n) if n % 2 else [f"x{i:02d}" for i in range(n)]
-        spaces = []  # past 24 points only partition topologies, at most 2**10 sets
-        if n <= 24:
+        if n <= 24:  # past 24 points only partition topologies
             spaces += [poset_to_space(layered_poset(rng, labels)),
                        from_subbasis(few_members(rng, labels))]
         for k in (rng.randint(1, min(n, 10)), min(n, 10)):  # partition topologies, 2**k sets
             rng.shuffle(labels)
-            spaces.append(ultra_topology(SetFamily.of(labels, [labels[i::k] for i in range(k)])))
+            spaces.append(ultra_topology(partition_family(labels, k)))
         if n <= 10:
             spaces.append(poset_to_space(random_poset(rng, n)))
-        for space in spaces:
-            ordered = sorted(space.closed_masks, key=listing_key(space.carrier))
-            for label in (str, encode_basestring_ascii):
-                assert space._listing(label) == [
-                    list(map(label, space.carrier.tuple_of(m))) for m in ordered
-                ]
+    for n in (12, 21, 25, 37, 64):  # 2**11 and 2**12 sets, chunks at the 11-point cap
+        labels = odd_labels(rng, n)
+        spaces += [ultra_topology(partition_family(labels, k)) for k in (11, 12)]
+    for space in spaces:
+        ordered = sorted(space.closed_masks, key=listing_key(space.carrier))
+        for run, empty in LISTING_RUNS:
+            assert space._listing(run, empty) == [
+                reduce(operator.add, map(run, space.carrier.tuple_of(m)), empty) for m in ordered
+            ]
 
 
 def test_covers_match_the_label_triple_scan():
@@ -1151,17 +1170,31 @@ def labelled_family(carrier, masks):
     return SetFamily(carrier, tuple((set_label(s), frozenset(s)) for s in subsets))
 
 
+def subfamily_closure(masks, op):
+    """The op over every nonempty subfamily of the masks."""
+    return {reduce(op, c) for r in range(1, len(masks) + 1) for c in combinations(masks, r)}
+
+
 def test_family_transforms_match_the_labelled_families():
     rng = random.Random(2041)
+    cases = []
     for n in [rng.randint(1, 20) for _ in range(120)] + [1, 20]:
         labels = odd_labels(rng, n) if rng.random() < 0.5 else [f"x{i}" for i in range(n)]
-        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+        cases.append((labels, [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]))
+    for n in (21, 24, 27, 30):  # each member has a point of its own: 2**k - 1 unions
+        k = rng.randint(11, 12)
+        cases.append((odd_labels(rng, n),
+                      [1 << j | rng.getrandbits(n) >> k << k for j in range(k)]))
+    for labels, masks in cases:
         family = SetFamily.of(labels, [[x for i, x in enumerate(labels) if m >> i & 1]
                                        for m in masks])
         carrier, full = family.carrier, family.carrier.full_mask
-        expect = (labelled_family(carrier, fixpoint_closure(family.masks, operator.and_)),
-                  labelled_family(carrier, fixpoint_closure(family.masks, operator.or_)),
+        closure = subfamily_closure if len(masks) > 6 else fixpoint_closure
+        expect = (labelled_family(carrier, closure(family.masks, operator.and_)),
+                  labelled_family(carrier, closure(family.masks, operator.or_)),
                   labelled_family(carrier, {*family.masks, *(~m & full for m in family.masks)}))
+        if len(masks) > 6:
+            assert len(expect[1].members) >= 1 << 10
         for got, want in zip(family_transforms(family), expect, strict=True):
             assert got == want
             assert got.masks == want.masks  # dataclass equality skips the cached masks

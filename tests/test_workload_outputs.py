@@ -3,8 +3,9 @@
 ``bench/workloads.py`` builds each CLI document together with the output the
 CLI documents for it (``json.dumps(value, indent=2, sort_keys=True)``, or
 the DOT text), from its own knowledge of what it generated and without
-calling ultratop.  Every CLI op of seed 1, in the smoke and the full
-workloads, must print exactly that text.  The module is only imported here.
+calling ultratop.  Every CLI op of seeds 1-5, in the smoke and the full
+workloads and in ring passes 0 and 1, must print exactly that text.  The
+module is only imported here.
 """
 
 import contextlib
@@ -24,14 +25,17 @@ workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-def cli_ops(smoke):
-    ops = workloads.families_ops(1, smoke) + workloads.spaces_rings_ops(1, 0, None, smoke)
+def cli_ops(seed, smoke):
+    """Both workloads' CLI ops, with the rings relabelled as in a second pass too."""
+    ops = (workloads.families_ops(seed, smoke) + workloads.spaces_rings_ops(seed, 0, None, smoke)
+           + workloads.rings_ops(seed, 1, None, smoke))
     return [op for op in ops if isinstance(op, workloads.CliOp)]
 
 
 @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
-def test_cli_prints_the_documented_text_on_every_seed_1_op(smoke):
-    ops = cli_ops(smoke)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_cli_prints_the_documented_text_on_every_op(seed, smoke):
+    ops = cli_ops(seed, smoke)
     assert ops
     for op in ops:
         out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
