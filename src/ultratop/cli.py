@@ -3,10 +3,12 @@
 Every verb is one row of ``_VERBS``: its handler, its input argument
 (required, optional or none) and whether it may print DOT.  A handler takes
 the parsed arguments and the document, and returns the body of the output: a
-dict, or DOT text.  ``main`` alone reads the document, rejects ``--format
-dot`` on JSON-only verbs, adds the ``schema`` and ``verb`` header and writes
-stdout.  The argument parser is built once per process: ``build_parser()``
-returns the shared parser, which parsing leaves unchanged.
+dict, in which a space stands for its closed sets, or DOT text.  ``main``
+alone reads the document, rejects ``--format dot`` on JSON-only verbs, adds
+the ``schema`` and ``verb`` header, renders the text, listing each space's
+closed sets where ``_dumps`` meets it, and writes stdout.  The argument
+parser is built once per process: ``build_parser()`` returns the shared
+parser, which parsing leaves unchanged.
 
 Exit codes: 0 on success; 1 on ``InputError``, malformed input (bad flags,
 unreadable files, broken JSON, missing keys, fields of the wrong JSON type,
@@ -26,7 +28,7 @@ import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .core import (
     DomainError, InputError, SetFamily, UltratopError, _json_field, _json_key, atoms,
@@ -72,22 +74,17 @@ def _read_doc(path: str) -> dict:
     return _json_field(doc, dict, "the document")
 
 
-# JSON text that ``_dumps`` writes as it is, at the indent it was rendered for only
-_Json = NamedTuple("_Json", [("text", str), ("indent", str)])
-
-
-def _closed_json(space: FinSpace, indent: str = "\n  ") -> _Json:
+def _closed_json(space: FinSpace, indent: str) -> str:
     """The closed sets as ``_dumps`` writes their list at this indent, in one join: the
     listing spells each set with a separator before each label, and starts with the empty set."""
     inner = indent + "  "
     sets = space._listing(lambda p: "," + inner + "  " + encode_basestring_ascii(p), "")
     tails = map(itemgetter(slice(1, None)), sets[1:])  # each nonempty set without its first ","
-    return _Json(f"[{inner}[],{inner}[" + f"{inner}],{inner}[".join(tails) + f"{inner}]{indent}]",
-                 indent)
+    return f"[{inner}[],{inner}[" + f"{inner}],{inner}[".join(tails) + f"{inner}]{indent}]"
 
 
 def _space_body(space: FinSpace) -> dict:
-    return {"carrier": list(space.carrier.points), "closed": _closed_json(space)}
+    return {"carrier": list(space.carrier.points), "closed": space}
 
 
 def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
@@ -134,7 +131,7 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
             {"label": label, "members": [ring.elements[i] for i in sorted(mem)]}
             for label, mem in _spectrum(ring)
         ],
-        "closed": _closed_json(space),
+        "closed": space,
     }
 
 
@@ -246,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for documents of string keyed dicts,
-    lists, tuples, strings, ints, booleans, None and ``_Json`` text (an ``UltratopError`` off
-    its indent).  With an indent ``json.dumps`` runs its pure-Python encoder; this writer
-    keeps the C one.  Other types raise TypeError."""
+    lists, tuples, strings, ints, booleans, None and spaces, each written as the list of its
+    closed sets by ``_closed_json`` at the indent it stands at.  With an indent ``json.dumps``
+    runs its pure-Python encoder; this writer keeps the C one.  Other types raise TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -257,10 +254,8 @@ def _dumps(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, _Json):
-        if value.indent != indent:
-            raise UltratopError(f"JSON of depth {len(value.indent) // 2} at {len(indent) // 2}")
-        return value.text
+    if isinstance(value, FinSpace):
+        return _closed_json(value, indent)
     inner, brackets = indent + "  ", "[]"
     if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
@@ -286,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"{args.verb} supports only --format json")
         path = getattr(args, "input", None)
         body = handler(args, None if path is None else _read_doc(path))
+        if isinstance(body, str):
+            text = f"// ultratop schema {SCHEMA}\n" + body
+        else:  # the closed sets are listed here, so their cap is a domain error too
+            text = _dumps({"schema": SCHEMA, "verb": args.verb, **body}) + "\n"
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -295,11 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # a library bug, never bad input
         print(f"internal error: {e if isinstance(e, UltratopError) else repr(e)}", file=sys.stderr)
         return 3
-    if isinstance(body, str):
-        sys.stdout.write(f"// ultratop schema {SCHEMA}\n" + body)
-    else:
-        body = {"schema": SCHEMA, "verb": args.verb, **body}
-        sys.stdout.write(_dumps(body) + "\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -80,6 +80,18 @@ def _union_at(masks: Sequence[int], selector: int) -> int:
     return out
 
 
+def _meets_at_points(full: int, masks: Iterable[int]) -> list[int]:
+    """Per point i of the carrier mask ``full``, the meet of the masks holding i (``full`` if
+    none): one step per set bit of each mask.  Masks have no bit past the carrier."""
+    out = [full] * full.bit_length()
+    for m in masks:
+        bits = m
+        while bits:
+            out[(low := bits & -bits).bit_length() - 1] &= m
+            bits ^= low
+    return out
+
+
 def _spell(runs: Sequence[_T], masks: Sequence[int], empty: _T, high_first=False) -> list[_T]:
     """Per mask, the sum of ``runs[i]`` over its set bits i, lowest bit first (highest first
     with ``high_first``): the mask's labels joined, if each run is a label as a 1-tuple or a
@@ -231,15 +243,9 @@ class SetFamily:
     @cached_property
     def _point_atoms(self) -> tuple[int, ...]:
         """Per point, the mask of its atom: the points with its membership
-        signature, which no member separates from it."""
+        signature, the meet of the members and member complements holding it."""
         full = self.carrier.full_mask
-        out = []
-        for i in range(len(self.carrier)):
-            keep = full
-            for m in self.masks:
-                keep &= m if (m >> i) & 1 else ~m
-            out.append(keep)
-        return tuple(out)
+        return tuple(_meets_at_points(full, [*self.masks, *(full & ~m for m in self.masks)]))
 
     def normalize(self) -> "SetFamily":
         """Deduplicate subsets (first name wins) and sort by member content."""
@@ -367,12 +373,10 @@ class BoolAlgebra:
         The count is exponential in the number of atoms; callers are expected
         to stay at desk scale.
         """
+        carrier = self.generators.carrier
+        masks = list(map(carrier.mask_of, self.atoms))
         for bits in range(self.element_count):
-            union: frozenset[str] = frozenset()
-            for i, atom in enumerate(self.atoms):
-                if (bits >> i) & 1:
-                    union |= atom
-            yield union
+            yield carrier.labels_of(_union_at(masks, bits))
 
     def contains_set(self, subset: Iterable[str]) -> bool:
         """Whether the subset is a union of atoms."""

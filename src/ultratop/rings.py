@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import chain, combinations, repeat
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import Carrier, DomainError, PrincipalUltrafilter, SetFamily, UltratopError
 from .core import _join_closure, _json_field, _json_key
@@ -80,10 +80,7 @@ class FiniteRing:
         for e in range(self.size):
             if e not in reached:
                 gens.append(e)
-                todo = list(reached)
-                while todo:
-                    todo = {self.add[g][s] for g in gens for s in todo} - reached
-                    reached |= todo
+                reached = _orbit(reached, self.add, gens)
         return tuple(gens)
 
     @cached_property
@@ -132,6 +129,16 @@ class FiniteRing:
             _json_key(doc, "one", int, at),
             name=name,
         )
+
+
+def _orbit(start: Iterable[int], table: Sequence[Sequence[int]], gens: Collection[int]) -> set[int]:
+    """The start and all it reaches by steps x -> table[g][x], g in gens: one worklist
+    in which each round steps only from the elements the round before found."""
+    reached = todo = set(start)
+    while todo:
+        todo = {table[g][x] for g in gens for x in todo} - reached
+        reached |= todo
+    return reached
 
 
 def _check_ring(r: FiniteRing) -> None:
@@ -545,14 +552,10 @@ def subring_closure(ambient: FiniteRing, seed: Iterable[int]) -> frozenset[int]:
     return _subring(ambient, [_index(ambient, x) for x in seed], {})
 
 
-def _subring(ambient: FiniteRing, seed: Iterable[int], basis: dict) -> frozenset[int]:
+def _subring(ambient: FiniteRing, seed: Collection[int], basis: dict) -> frozenset[int]:
     """The span of the seed's products, one included, found by multiplying new
     products by seed elements alone (docs/theory_notes.md, section 5, Lemma 1)."""
-    seed = set(seed)
-    monoid = todo = seed | {ambient.one}
-    while todo:
-        todo = {ambient.mul[m][g] for m in todo for g in seed} - monoid
-        monoid |= todo
+    monoid = _orbit({ambient.one, *seed}, ambient.mul, seed)
     return _span(ambient, frozenset({ambient.zero}), monoid, basis)
 
 

@@ -4,11 +4,13 @@ A space is stored as its n point closures, as bitmasks over a carrier: a
 finite space is the preorder of its point closures (y lies below x when y is
 in the closure of x), its closed sets are exactly the unions of point
 closures, and its smallest open around a point is the up-set of that point.
-So every construction and query costs polynomial time in the number of
-points.  The closed sets are an output format, listed only when asked for,
-only up to ``MAX_CLOSED_SETS`` of them, as unions of bit-reversed point
-closures, sorted twice in C and spelled in one batch from tables of label
-runs, at most 11 points wide and narrower for fewer sets.
+Up-sets, like the closures of a subbasis, are taken as one meet per point
+(``core._meets_at_points``), so every construction and query costs
+polynomial time in the number of points.  The closed sets are an output
+format, listed only when asked for, only up to ``MAX_CLOSED_SETS`` of them,
+as unions of bit-reversed point closures, sorted twice in C and spelled in
+one batch from tables of label runs, at most 11 points wide and narrower
+for fewer sets.
 
 A space built with the plain constructor is trusted to satisfy the axioms;
 it takes a smallest closed set around each point, in one pass by size, as
@@ -25,10 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .core import (
-    Carrier, DomainError, SetFamily, UltratopError, _T, _json_field, _json_key, _spell, _union_at
+    Carrier, DomainError, SetFamily, UltratopError, _T, _json_field, _json_key, _meets_at_points,
+    _spell, _union_at,
 )
 
 # Most closed sets a space may list.  A space of n points has up to 2**n of
@@ -48,16 +51,6 @@ class NotT0Error(DomainError):
         self.pair = pair
 
 
-def _meets_at_points(carrier: Carrier, masks: Iterable[int]) -> list[int]:
-    """For each point, the meet of the masks containing it (the carrier if none)."""
-    out = [carrier.full_mask] * len(carrier)
-    for m in masks:
-        for i in range(len(out)):
-            if (m >> i) & 1:
-                out[i] &= m
-    return out
-
-
 def _unions(masks: Iterable[int], bound: int | None = None) -> set[int] | None:
     """The unions of the masks, the empty one included; None past ``bound`` of
     them, and with no bound a DomainError past ``MAX_CLOSED_SETS`` of them."""
@@ -69,14 +62,6 @@ def _unions(masks: Iterable[int], bound: int | None = None) -> set[int] | None:
                 raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
             return None
     return out
-
-
-def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
-    """The converse relation: bit j of the i-th result is bit i of masks[j]."""
-    return tuple(
-        sum(1 << j for j, m in enumerate(masks) if (m >> i) & 1)
-        for i in range(len(masks))
-    )
 
 
 @dataclass(frozen=True)
@@ -126,15 +111,18 @@ class FinSpace:
 
         With k_i a smallest member of C holding point i, the closed sets C are a topology
         iff each k_j with j in k_i lies in k_i and C is the unions of the k_i
-        (docs/theory_notes.md §3).  Only if not are the meets of the members around each
-        point taken, and the loops run that name the fault: C holds the empty set, the
-        carrier, each meet and its union with each closed set.
+        (docs/theory_notes.md §3).  A space built from its closures has no C: it is valid
+        iff each k_i holds i and meets that first condition, and nothing is listed.  Only
+        if not are the meets of the members around each point taken, and the loops run
+        that name the fault: C holds the empty set, the carrier, each meet and its union
+        with each closed set.
         """
-        closed, closures = self.closed_masks, self.point_closures
-        if all(_union_at(closures, k) == k for k in closures) and _unions(
-                closures, len(closed)) == closed:
+        closures, closed = self.point_closures, self.__dict__.get("closed_masks")
+        if all(_union_at(closures, k) == k and k >> i & 1 for i, k in enumerate(closures)) and (
+                closed is None or _unions(closures, len(closed)) == closed):
             return
-        full, closures = self.carrier.full_mask, _meets_at_points(self.carrier, closed)
+        full, closed = self.carrier.full_mask, self.closed_masks
+        closures = _meets_at_points(full, closed)
         if 0 not in closed:
             raise DomainError("the empty set must be closed")
         if full not in closed:
@@ -203,7 +191,9 @@ class FinSpace:
 
     @cached_property
     def _minimal_opens(self) -> tuple[int, ...]:
-        return _transpose(self.point_closures)
+        """Per point i, the meet of X - cl{x} over the x with i outside cl{x} (theory notes §3)."""
+        full = self.carrier.full_mask
+        return tuple(_meets_at_points(full, {full & ~cl for cl in self.point_closures}))
 
     def t0_violation(self) -> tuple[str, str] | None:
         """A pair of indistinguishable points, or None when the space is T0."""
@@ -245,13 +235,13 @@ class FinSpace:
 def from_subbasis(subbasis: SetFamily) -> FinSpace:
     """The coarsest topology in which every member of the family is open.
 
-    The smallest open around x is the meet of the members containing x, and
-    x lies in the closure of y exactly when y lies in that smallest open.
+    x lies in the closure of y exactly when every member holding x holds y, so
+    the closure of y is the meet of the complements of the members missing y
+    (docs/theory_notes.md §3).
     """
-    carrier = subbasis.carrier
-    return FinSpace._of_closures(
-        carrier, _transpose(_meets_at_points(carrier, subbasis.masks))
-    )
+    full = subbasis.carrier.full_mask
+    closures = _meets_at_points(full, [full & ~m for m in subbasis.masks])
+    return FinSpace._of_closures(subbasis.carrier, closures)
 
 
 def ultra_topology(family: SetFamily) -> FinSpace:
@@ -519,25 +509,15 @@ def ultra_transport(
 ) -> TransportReport:
     """Check that codomain members pull back into the domain family, then
     verify continuity between the induced stable-set topologies."""
-    dom_carrier = dom_family.carrier
-    cod_carrier = cod_family.carrier
-    images = _preimage_masks(mapping, dom_carrier, cod_carrier)
+    fibres = [0] * len(cod_family.carrier)  # per codomain point, the domain points over it
+    for i, yi in enumerate(_preimage_masks(mapping, dom_family.carrier, cod_family.carrier)):
+        fibres[yi] |= 1 << i
     available = set(dom_family.masks)
-    missing = []
-    for (name, _), m in zip(cod_family.members, cod_family.masks):
-        pre = 0
-        for i, yi in enumerate(images):
-            if (m >> yi) & 1:
-                pre |= 1 << i
-        if pre not in available:
-            missing.append(name)
-    holds = not missing
-    continuous = (
-        is_continuous(mapping, ultra_topology(dom_family), ultra_topology(cod_family))
-        if holds
-        else None
-    )
-    return TransportReport(holds, tuple(missing), continuous)
+    missing = tuple(name for (name, _), m in zip(cod_family.members, cod_family.masks)
+                    if _union_at(fibres, m) not in available)
+    continuous = None if missing else is_continuous(
+        mapping, ultra_topology(dom_family), ultra_topology(cod_family))
+    return TransportReport(not missing, missing, continuous)
 
 
 def _dot_quote(label: str) -> str:

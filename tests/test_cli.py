@@ -755,17 +755,6 @@ ODD_SPACE = ultra_topology(SetFamily.of(["a", "é", '"x', "[,]\n"], [["a", "é"]
 ONE_POINT = ultra_topology(SetFamily.of(["p"], [[]]))
 
 
-def placed(value, indent="\n"):
-    """The value with each space as its closed sets' ``_Json``, rendered where it stands."""
-    if isinstance(value, FinSpace):
-        return cli._closed_json(value, indent)
-    if isinstance(value, dict):
-        return {k: placed(v, indent + "  ") for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(placed(v, indent + "  ") for v in value)
-    return value
-
-
 def plain(value):
     """The value with each space as the lists of labels of its closed sets."""
     if isinstance(value, FinSpace):
@@ -787,20 +776,13 @@ class TestOutputPath:
     @settings(max_examples=300, derandomize=True, database=None)
     @given(JSON_TREES)
     def test_writer_matches_json_dumps(self, value):
-        assert cli._dumps(placed(value)) == json.dumps(plain(value), indent=2, sort_keys=True)
+        assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("depth", range(5))
     def test_writer_writes_encoded_sets_at_any_depth(self, depth):
         for space in (ODD_SPACE, ONE_POINT):
             value = nested(space, depth)
-            assert cli._dumps(placed(value)) == json.dumps(plain(value), indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("depth", range(5))
-    def test_writer_refuses_rendered_text_at_another_depth(self, depth):
-        text = cli._closed_json(ODD_SPACE, "\n" + "  " * depth)
-        for other in set(range(6)) - {depth}:
-            with pytest.raises(UltratopError, match=f"of depth {depth} at {other}$"):
-                cli._dumps(nested(text, other))
+            assert cli._dumps(value) == json.dumps(plain(value), indent=2, sort_keys=True)
 
     def test_writer_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -43,6 +43,12 @@ walking every label pair, message for message.
 The Boolean closures of a family, which the library names from masks spelled
 once and keeps with those masks, are built here as before: label tuples
 sorted, named by their sorted labels, and read back by ``SetFamily``.
+Atoms, subbasis closures and minimal opens, which the library takes as one
+meet per point over the set bits of each mask, are found here as before: atoms
+by the signature loop over every point and member, and subbasis closures and
+minimal opens by transposing the relation.  Additive generators and subrings,
+which the library grows with one orbit worklist, are grown here by the two
+worklists it replaced.
 """
 
 import ast
@@ -102,7 +108,7 @@ from ultratop import (
 )
 from ultratop import core, specz
 from ultratop.core import _join_closure, _json_field, _json_key
-from ultratop.rings import _spectrum
+from ultratop.rings import _span, _spectrum
 from conftest import random_family
 from test_cli import call_main
 from test_rings import f2_into_f16, f4_into_f16
@@ -233,6 +239,40 @@ def listing_key(carrier):
     full, size = carrier.full_mask, (len(carrier) + 7) // 8
     return lambda m: ((m & full).bit_count() << 8 * size) - int.from_bytes(
         (m & full).to_bytes(size, "little").translate(REVERSED_BYTES), "big")
+
+
+def signature_atoms(family):
+    """Per point, its atom as the signature loop read it: every member, or its
+    complement where the point is outside it, met in turn."""
+    full = family.carrier.full_mask
+    out = []
+    for i in range(len(family.carrier)):
+        keep = full
+        for m in family.masks:
+            keep &= m if (m >> i) & 1 else ~m
+        out.append(keep)
+    return tuple(out)
+
+
+def transpose(masks):
+    """The converse relation: bit j of the i-th result is bit i of masks[j]."""
+    return tuple(
+        sum(1 << j for j, m in enumerate(masks) if (m >> i) & 1)
+        for i in range(len(masks))
+    )
+
+
+def random_preorder(rng, n):
+    """The down-sets of the reflexive-transitive closure of random pairs; a cycle
+    gives its points one closure, so the space is often not T0."""
+    downs = [1 << i for i in range(n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        downs[rng.randrange(n)] |= 1 << rng.randrange(n)
+    for k in range(n):  # Warshall
+        for i in range(n):
+            if (downs[i] >> k) & 1:
+                downs[i] |= downs[k]
+    return downs
 
 
 def meets_at_points(carrier, masks):
@@ -454,6 +494,29 @@ def fixpoint_subring_closure(ambient, seed):
         if new <= members:
             return frozenset(members)
         members |= new
+
+
+def worklist_additive_generators(ring):
+    """Greedy additive generators, the reach of each grown by its own worklist of sums."""
+    gens, reached = [], {ring.zero}
+    for e in range(ring.size):
+        if e not in reached:
+            gens.append(e)
+            todo = list(reached)
+            while todo:
+                todo = {ring.add[g][s] for g in gens for s in todo} - reached
+                reached |= todo
+    return tuple(gens)
+
+
+def worklist_subring_closure(ambient, seed):
+    """The seed's products, one included, found by their own worklist, then spanned."""
+    seed = set(seed)
+    monoid = todo = seed | {ambient.one}
+    while todo:
+        todo = {ambient.mul[m][g] for m in todo for g in seed} - monoid
+        monoid |= todo
+    return _span(ambient, frozenset({ambient.zero}), monoid, {})
 
 
 def pairwise_intermediate_rings(emb):
@@ -752,6 +815,26 @@ def test_spaces_from_subbases_match_the_lattice_algorithms():
         assert space.point_closures == tuple(
             lattice_closure(space, 1 << i) for i in range(len(space.carrier))
         )
+        assert space.point_closures == transpose(meets_at_points(family.carrier, family.masks))
+
+
+def test_point_atoms_and_minimal_opens_match_the_loops():
+    rng = random.Random(2046)
+    seen = Counter()
+    for _ in range(800):
+        n = rng.randint(1, 12)
+        carrier = Carrier.of(f"x{i:02d}" for i in range(n))
+        full = carrier.full_mask
+        pool = [0, full, *(rng.randrange(full + 1) for _ in range(rng.randint(1, 5)))]
+        masks = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+        family = SetFamily.of(carrier, map(carrier.labels_of, masks))
+        assert family._point_atoms == signature_atoms(family)
+        preorder = FinSpace._of_closures(carrier, random_preorder(rng, n))
+        for space in (preorder, from_subbasis(family), ultra_topology(family)):
+            assert space._minimal_opens == transpose(space.point_closures)
+        seen.update(empty=0 in masks, full=full in masks, repeated=len(set(masks)) < len(masks),
+                    not_t0=preorder.t0_violation() is not None, points=n)
+    assert min(seen[k] for k in ("empty", "full", "repeated", "not_t0")) >= 200, seen
 
 
 def test_closed_sets_match_the_enumerated_unions():
@@ -1302,6 +1385,21 @@ def test_intermediate_rings_match_the_pairwise_joins():
 ODD_CHARACTERISTIC = [zmod(32), product(zmod(4), zmod(8)), zmod(27), product(zmod(9), zmod(3))]
 LARGE_RINGS = [zmod(64), product(gf(16), zmod(4)), product(gf(8), gf(8)),
                product(product(zmod(2), zmod(2)), product(gf(4), zmod(4)))]
+
+
+ORBIT_RINGS = [*map(zmod, range(2, 65)), *map(gf, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+               product(zmod(2), gf(4)), product(gf(4), gf(4)), product(zmod(6), zmod(10)),
+               product(product(zmod(2), zmod(3)), gf(9)), *LARGE_RINGS, *ODD_CHARACTERISTIC]
+
+
+@pytest.mark.parametrize("ring", ORBIT_RINGS, ids=lambda r: r.name)
+def test_orbits_match_the_worklists(ring):
+    rng = random.Random(2047)
+    for r in (ring, permuted(ring, rng)):
+        assert r._additive_generators == worklist_additive_generators(r)
+        for k in (0, 1, 1, 2, 3):
+            seed = rng.sample(range(r.size), min(k, r.size))
+            assert subring_closure(r, seed) == worklist_subring_closure(r, seed)
 
 
 @pytest.mark.parametrize("ring", ODD_CHARACTERISTIC, ids=lambda r: r.name)

@@ -152,8 +152,20 @@ class TestFinSpace:
         assert generic_closure(space, labels[:3]) == frozenset(labels[:3])
         assert is_continuous({x: x for x in labels}, space, patched)
         assert space.is_closed(labels[:5]) and space.is_open(labels[5:])
-        for sp in (space, patched):
+        # 17 singletons give 2**17 closed sets, past the listing cap
+        singles = ultra_topology(SetFamily.of(labels[:17], [{x} for x in labels[:17]]))
+        for sp in (space, patched, singles):
+            sp.validate()
             assert "closed_masks" not in sp.__dict__
+
+    @pytest.mark.parametrize("closures, message", [
+        ((0b10, 0b10), "the whole carrier must be closed"),  # cl{a} misses a
+        ((0b011, 0b110, 0b100), "not closed under intersection"),  # b in cl{a}, cl{b} not
+    ])
+    def test_closures_that_are_no_preorder_fail_validation(self, closures, message):
+        carrier = Carrier.of("abc"[:len(closures)])
+        with pytest.raises(DomainError, match=message):
+            FinSpace._of_closures(carrier, closures).validate()
 
     def test_listing_closed_sets_is_bounded(self, monkeypatch):
         monkeypatch.setattr(topology, "MAX_CLOSED_SETS", 8)
