@@ -114,17 +114,28 @@ def _spell(runs: Sequence[_T], masks: Sequence[int], empty: _T, high_first=False
     return out
 
 
-def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T]) -> set[_T]:
+# Most sets a join closure may build: n points have up to 2**n closed sets and k
+# disjoint members 2**k - 1 unions, so the sweep stops once it passes this many.
+MAX_CLOSED_SETS = 1 << 16
+
+
+def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T],
+                  bound: int | None = None) -> set[_T] | None:
     """Close the generators under an associative, commutative, idempotent op.
 
-    After each generator g the result holds every join of the generators
-    seen so far: the old joins, their joins with g, and g itself.  That is
-    one sweep of O(|result| * |gens|) joins, with no rescans.
+    After each distinct generator g the result holds every join of the generators
+    seen so far: the old joins, their joins with g, and g itself.  That is one sweep
+    of O(|result| * |gens|) joins, with no rescans.  Past ``bound`` sets it returns
+    None; with no bound, past ``MAX_CLOSED_SETS`` it raises a DomainError.
     """
     out: set[_T] = set()
-    for g in gens:
+    for g in set(gens):
         out |= {op(o, g) for o in out}
         out.add(g)
+        if len(out) > (MAX_CLOSED_SETS if bound is None else bound):
+            if bound is None:
+                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
+            return None
     return out
 
 
@@ -410,6 +421,7 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
     closure is the family together with all member complements).  Members of
     the returned families are named by their content and normalized.  Each family's
     masks are spelled in one ``_spell`` call and kept as its members' masks.
+    Past ``MAX_CLOSED_SETS`` meets or unions it raises a DomainError instead.
     """
     carrier = family.carrier
     full, units = carrier.full_mask, [(p,) for p in carrier.points]
@@ -421,8 +433,10 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
         names = map("{%s}".__mod__, map(",".join, tuples))
         return SetFamily._of_masks(carrier, zip(names, map(frozenset, tuples)), masks)
 
-    inter = _join_closure(family.masks, operator.and_)
-    union = _join_closure(family.masks, operator.or_)
+    inter, union = (_join_closure(family.masks, op, MAX_CLOSED_SETS)
+                    for op in (operator.and_, operator.or_))
+    if inter is None or union is None:
+        raise DomainError(f"derived families are capped at {MAX_CLOSED_SETS} sets")
     comp = set(family.masks) | {(~m) & full for m in family.masks}
     return FamilyTransforms(build(inter), build(union), build(comp))
 

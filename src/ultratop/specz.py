@@ -271,12 +271,7 @@ class ZConstructible(ZSubsetDescriptor):
         return ZConstructible._of_primes(cof.primes - fin.primes, True)
 
     def intersect(self, other: "ZConstructible") -> "ZConstructible":
-        if not self.cofinite and not other.cofinite:
-            return ZConstructible._of_primes(self.primes & other.primes, False)
-        if self.cofinite and other.cofinite:
-            return ZConstructible._of_primes(self.primes | other.primes, True)
-        cof, fin = (self, other) if self.cofinite else (other, self)
-        return ZConstructible._of_primes(fin.primes - cof.primes, False)
+        return self.complement().union(other.complement()).complement()
 
     __or__, __and__, __invert__ = union, intersect, complement
 

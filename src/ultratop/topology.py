@@ -7,10 +7,10 @@ closures, and its smallest open around a point is the up-set of that point.
 Up-sets, like the closures of a subbasis, are taken as one meet per point
 (``core._meets_at_points``), so every construction and query costs
 polynomial time in the number of points.  The closed sets are an output
-format, listed only when asked for, only up to ``MAX_CLOSED_SETS`` of them,
-as unions of bit-reversed point closures, sorted twice in C and spelled in
-one batch from tables of label runs, at most 11 points wide and narrower
-for fewer sets.
+format, listed only when asked for, only up to ``core.MAX_CLOSED_SETS`` of
+them, as unions of bit-reversed point closures (``core._join_closure``),
+sorted twice in C and spelled in one batch from tables of label runs, at
+most 11 points wide and narrower for fewer sets.
 
 A space built with the plain constructor is trusted to satisfy the axioms;
 it takes a smallest closed set around each point, in one pass by size, as
@@ -30,14 +30,9 @@ from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from .core import (
-    Carrier, DomainError, SetFamily, UltratopError, _T, _json_field, _json_key, _meets_at_points,
-    _spell, _union_at,
+    MAX_CLOSED_SETS, Carrier, DomainError, SetFamily, UltratopError, _T, _join_closure, _json_field,
+    _json_key, _meets_at_points, _spell, _union_at,
 )
-
-# Most closed sets a space may list.  A space of n points has up to 2**n of
-# them (the discrete one), so the sweep that lists them stops with a
-# DomainError once it passes this many.
-MAX_CLOSED_SETS = 1 << 16
 
 
 class NotT0Error(DomainError):
@@ -49,19 +44,6 @@ class NotT0Error(DomainError):
             " indistinguishable"
         )
         self.pair = pair
-
-
-def _unions(masks: Iterable[int], bound: int | None = None) -> set[int] | None:
-    """The unions of the masks, the empty one included; None past ``bound`` of
-    them, and with no bound a DomainError past ``MAX_CLOSED_SETS`` of them."""
-    out = {0}
-    for m in set(masks):
-        out |= {o | m for o in out}
-        if len(out) > (MAX_CLOSED_SETS if bound is None else bound):
-            if bound is None:
-                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
-            return None
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,7 @@ class FinSpace:
         """
         closures, closed = self.point_closures, self.__dict__.get("closed_masks")
         if all(_union_at(closures, k) == k and k >> i & 1 for i, k in enumerate(closures)) and (
-                closed is None or _unions(closures, len(closed)) == closed):
+                closed is None or _join_closure({0, *closures}, or_, len(closed)) == closed):
             return
         full, closed = self.carrier.full_mask, self.closed_masks
         closures = _meets_at_points(full, closed)
@@ -154,8 +136,8 @@ class FinSpace:
     @cached_property
     def closed_masks(self) -> frozenset[int]:
         """The closed sets, as the unions of point closures (the empty union
-        included); a DomainError once more than ``MAX_CLOSED_SETS`` appear."""
-        return frozenset(_unions(self.point_closures))
+        included); a DomainError once more than ``core.MAX_CLOSED_SETS`` appear."""
+        return frozenset(_join_closure({0, *self.point_closures}, or_))
 
     @cached_property
     def open_masks(self) -> frozenset[int]:
@@ -167,8 +149,8 @@ class FinSpace:
         its points' ``run``s in carrier order: sets of one size by descending mask with point i
         as bit n-1-i (docs/theory_notes.md §3), spelled by ``_spell`` in one call."""
         n = len(self.carrier)
-        masks = sorted(_unions(int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
-                               for cl in self.point_closures), reverse=True)
+        masks = sorted(_join_closure({0, *(int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
+                                            for cl in self.point_closures)}, or_), reverse=True)
         masks.sort(key=int.bit_count)
         return _spell([run(p) for p in reversed(self.carrier.points)], masks, empty, True)
 

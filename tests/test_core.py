@@ -363,6 +363,17 @@ class TestTransforms:
             assert limit_set(t.unions, u) == base
             assert limit_set(t.complements, u) == base
 
+    def test_derived_families_are_bounded(self, monkeypatch):
+        # k disjoint singletons have 2**k - 1 unions: 7 fit under a cap of 8, 15 do not
+        monkeypatch.setattr(core, "MAX_CLOSED_SETS", 8)
+
+        def singletons(k):
+            return SetFamily.of("abcd"[:k], [{p} for p in "abcd"[:k]])
+
+        assert len(family_transforms(singletons(3)).unions.members) == 7
+        with pytest.raises(DomainError, match="capped at 8 sets"):
+            family_transforms(singletons(4))
+
 
 class TestSpell:
     def test_chunks_are_fewest_and_at_most_11_points(self):

@@ -225,7 +225,21 @@ def lattice_space_from_subbasis(carrier, masks):
 def space_of_closures(carrier, closures):
     """The space whose closed sets are the unions of the given point closures,
     all of them enumerated at construction."""
-    return FinSpace(carrier, frozenset(_join_closure({0, *closures}, operator.or_)))
+    return FinSpace(carrier, fixpoint_closure({0, *closures}, operator.or_))
+
+
+def bounded_unions(masks, bound=None):
+    """The unions of the distinct masks, the empty one included, one mask at a
+    time; None past ``bound`` of them, and with no bound a DomainError past
+    ``core.MAX_CLOSED_SETS`` of them."""
+    out = {0}
+    for m in set(masks):
+        out |= {o | m for o in out}
+        if len(out) > (core.MAX_CLOSED_SETS if bound is None else bound):
+            if bound is None:
+                raise DomainError(f"listing closed sets is capped at {core.MAX_CLOSED_SETS} sets")
+            return None
+    return out
 
 
 # byte b with its bits in reverse order
@@ -835,6 +849,35 @@ def test_point_atoms_and_minimal_opens_match_the_loops():
         seen.update(empty=0 in masks, full=full in masks, repeated=len(set(masks)) < len(masks),
                     not_t0=preorder.t0_violation() is not None, points=n)
     assert min(seen[k] for k in ("empty", "full", "repeated", "not_t0")) >= 200, seen
+
+
+def test_join_closure_matches_the_bounded_unions(monkeypatch):
+    rng = random.Random(2025)
+    repeated = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        full = (1 << n) - 1
+        masks = [rng.randint(0, full) for _ in range(rng.randint(0, 9))]
+        masks += rng.choices(masks, k=rng.randint(0, 3)) if masks else []
+        repeated += len(set(masks)) < len(masks)
+        unions = bounded_unions(masks)
+        # the meets are the complements of the unions of the complements
+        meets = {full & ~u for u in bounded_unions(full & ~m for m in masks)}
+        for op, gens, expect in ((operator.or_, {0, *masks}, unions),
+                                 (operator.and_, {full, *masks}, meets)):
+            assert _join_closure(gens, op) == expect
+            assert _join_closure(gens, op, len(expect)) == expect
+            assert _join_closure(gens, op, len(expect) - 1) is None
+        assert _join_closure(masks, operator.or_) == unions - {0} | {0} & set(masks)
+    assert repeated >= 100, repeated
+    monkeypatch.setattr(core, "MAX_CLOSED_SETS", 16)
+    capped = 0
+    for _ in range(100):
+        masks = [1 << rng.randrange(8) | 1 << rng.randrange(8) for _ in range(rng.randint(0, 7))]
+        got = raised(_join_closure, {0, *masks}, operator.or_)
+        assert got == raised(bounded_unions, masks)
+        capped += got is not None
+    assert 20 <= capped <= 80, capped
 
 
 def test_closed_sets_match_the_enumerated_unions():

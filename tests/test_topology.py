@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratop import topology
+from ultratop import core
 from ultratop import (
     Carrier,
     DomainError,
@@ -168,7 +168,7 @@ class TestFinSpace:
             FinSpace._of_closures(carrier, closures).validate()
 
     def test_listing_closed_sets_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(topology, "MAX_CLOSED_SETS", 8)
+        monkeypatch.setattr(core, "MAX_CLOSED_SETS", 8)
 
         def chain(n):  # n + 1 closed sets
             labels = [f"x{i}" for i in range(n)]
