@@ -493,7 +493,8 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
     carrying the AND of each prefix down.  A node stops at the first
     candidate i whose prefix meets ``suffix[i]``, the AND of ``masks[i:]``, as
     no pick from there on can reach 0 (theory notes §6).  Each candidate
-    tested, the one that stops its node too, is a step against the cap.
+    tested, the one that stops its node too, is a step against the cap.  A
+    node's last candidate stops it or completes a witness, so it never runs out.
     """
     suffix = list(accumulate(reversed(masks), operator.and_))[::-1]
     if suffix[0]:
@@ -519,7 +520,6 @@ def _fip_search(masks: Sequence[int]) -> tuple[int, ...] | None:
                 found = first_empty(i + 1, need - 1, meet)
                 if found is not None:
                     return (i, *found)
-        return None
 
     for size in range(1, k + 1):
         found = first_empty(0, size, -1)

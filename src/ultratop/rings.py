@@ -483,12 +483,27 @@ def vanishing_set(ring: FiniteRing, element: str) -> frozenset[str]:
     return frozenset(label for label, mem in _spectrum(ring) if x in mem)
 
 
+def _loci(size: int, points: Sequence[tuple[str, Collection[int]]]) -> list[frozenset[str]]:
+    """Per element index, the labels of the (label, members) points that hold it."""
+    return [frozenset(label for label, members in points if x in members) for x in range(size)]
+
+
+def _ultra_limit(size: int, points: Sequence[tuple[str, Collection[int]]],
+                 ultra: PrincipalUltrafilter, what: str) -> frozenset[int]:
+    """The x whose locus, met with the base, the ultrafilter contains: P_U on the
+    primes, A_U on the intermediate rings.  The base must consist of point labels."""
+    if not ultra.base <= {label for label, _ in points}:
+        raise DomainError(f"ultrafilter base must consist of {what}")
+    return frozenset(x for x, locus in enumerate(_loci(size, points))
+                     if ultra.contains(locus & ultra.base))
+
+
 def principal_open_family(ring: FiniteRing) -> SetFamily:
-    """The family of principal opens D_f; checked to be a basis."""
-    space, spectrum = spec_space(ring), _spectrum(ring)
+    """The family of principal opens D_f, the points outside V(f); checked to be a basis."""
+    space, every = spec_space(ring), frozenset(label for label, _ in _spectrum(ring))
     family = SetFamily(space.carrier, tuple(
-        (f"D_{ring.elements[x]}", frozenset(label for label, mem in spectrum if x not in mem))
-        for x in range(ring.size)))
+        (f"D_{label}", every - locus)
+        for label, locus in zip(ring.elements, _loci(ring.size, _spectrum(ring)))))
     # every open is the union of the minimal opens of its points, and a principal
     # open inside a point's minimal open that holds the point is that open
     if not {space.minimal_open_mask(i) for i in range(len(space.carrier))} <= set(family.masks):
@@ -497,18 +512,11 @@ def principal_open_family(ring: FiniteRing) -> SetFamily:
 
 
 def ultrafilter_prime(ring: FiniteRing, ultra: PrincipalUltrafilter) -> Ideal:
-    """The prime ideal of elements whose vanishing locus is large on the base.
-
-    The base must be a set of points of the spectrum; the result is checked
-    to be an ideal by construction of the Ideal type, and for a principal
-    ultrafilter it is exactly the prime at the generating point.
+    """The prime P_U = {f : V(f) in U} of the elements whose vanishing locus is large
+    on the base, a set of spectrum points; the Ideal type checks the result, and a
+    principal ultrafilter gives the prime at its point (docs/theory_notes.md, section 4).
     """
-    spectrum = _spectrum(ring)
-    if not ultra.base <= {label for label, _ in spectrum}:
-        raise DomainError("ultrafilter base must consist of spectrum points")
-    return Ideal(ring, frozenset(
-        x for x in range(ring.size)
-        if ultra.contains(frozenset(label for label, mem in spectrum if x in mem) & ultra.base)))
+    return Ideal(ring, _ultra_limit(ring.size, _spectrum(ring), ultra, "spectrum points"))
 
 
 @dataclass(frozen=True)
@@ -607,17 +615,11 @@ def _intermediate_rings(emb: RingEmbedding) -> tuple[Subring, ...]:
 
 
 def overring_family(emb: RingEmbedding) -> SetFamily:
-    """For each target element x, the set of intermediate rings containing x."""
-    rings = intermediate_rings(emb)
-    labels = [r.label() for r in rings]
-    members = tuple(
-        (
-            f"U_{emb.target.elements[x]}",
-            frozenset(lab for lab, r in zip(labels, rings) if x in r.members),
-        )
-        for x in range(emb.target.size)
-    )
-    return SetFamily(Carrier.of(labels), members)
+    """For each target element x, the set U_x of intermediate rings containing x."""
+    points = [(r.label(), r.members) for r in intermediate_rings(emb)]
+    return SetFamily(Carrier.of(label for label, _ in points), tuple(
+        (f"U_{label}", locus)
+        for label, locus in zip(emb.target.elements, _loci(emb.target.size, points))))
 
 
 def overring_space(emb: RingEmbedding) -> FinSpace:
@@ -626,24 +628,12 @@ def overring_space(emb: RingEmbedding) -> FinSpace:
 
 
 def a_ultra(emb: RingEmbedding, ultra: PrincipalUltrafilter) -> Subring:
-    """The intermediate ring of elements contained in ultrafilter-many rings.
-
-    The base must be a set of intermediate-ring labels; the result is itself
-    an intermediate ring, and for a principal ultrafilter it is exactly the
-    ring at the generating point.
+    """The intermediate ring A_U = {x : U_x in U} of the elements held by
+    ultrafilter-many rings of the base, a set of intermediate-ring labels; a
+    principal ultrafilter gives the ring at its point (docs/theory_notes.md, section 5).
     """
-    rings = intermediate_rings(emb)
-    by_label = {r.label(): r for r in rings}
-    if not ultra.base <= by_label.keys():
-        raise DomainError("ultrafilter base must consist of intermediate rings")
-    members = frozenset(
-        x
-        for x in range(emb.target.size)
-        if ultra.contains(
-            frozenset(lab for lab, r in by_label.items() if x in r.members)
-            & ultra.base
-        )
-    )
+    points = [(r.label(), r.members) for r in intermediate_rings(emb)]
+    members = _ultra_limit(emb.target.size, points, ultra, "intermediate rings")
     result = Subring(emb.target, members)
     if not frozenset(emb.mapping) <= members:
         raise UltratopError("internal: ultrafilter ring lost the embedded image")

@@ -632,6 +632,11 @@ class TestVerbs:
         assert main(["specz-closure", "--primes", "2,9"]) == 2
         capsys.readouterr()
 
+    def test_specz_closure_rejects_a_non_integer_prime(self):
+        assert call_main(["specz-closure", "--primes", "2,x"]) == (1, "", (
+            "error: --primes expects 'all' or comma-separated integers: "
+            "invalid literal for int() with base 10: 'x'\n"))
+
     def test_specz_fip(self, tmp_path, capsys):
         doc = {"sets": [{"v_of": 6}, {"v_of": 10}, {"v_of": 15}]}
         code, out, _ = run_file(tmp_path, capsys, "specz-fip", doc)

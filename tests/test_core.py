@@ -45,6 +45,10 @@ class TestCarrier:
         with pytest.raises(DomainError):
             Carrier.of([])
 
+    def test_rejects_unsorted_labels(self):
+        with pytest.raises(DomainError, match="^carrier labels must be sorted; use Carrier.of$"):
+            Carrier(("b", "a"))
+
     def test_mask_round_trip(self):
         c = Carrier.of(["a", "b", "c", "d"])
         for r in range(5):
@@ -104,6 +108,10 @@ class TestSetFamily:
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):
             SetFamily.of(["a"], [])
+
+    def test_of_rejects_a_name_count_mismatch(self):
+        with pytest.raises(DomainError, match="^one name per member is required$"):
+            SetFamily.of(["a", "b"], [{"a"}], names=["p", "q"])
 
     def test_rejects_stray_member_point(self):
         with pytest.raises(DomainError):
@@ -301,6 +309,20 @@ class TestBoolAlgebra:
         assert alg.contains_set({"c"})
         assert not alg.contains_set({"a"})
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([{"a", "b"}, set(), {"c"}], "atoms must be nonempty"),
+            ([{"a", "b"}, {"b", "c"}], "atoms must be pairwise disjoint"),
+            ([{"a", "b"}], "atoms must partition the carrier"),
+            ([{"a"}, {"b", "c"}], "generator 'F0' is not a union of atoms"),
+        ],
+    )
+    def test_rejects_atoms_that_are_not_the_family_partition(self, blocks, message):
+        f = SetFamily.of(["a", "b", "c"], [{"a", "b"}])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            BoolAlgebra(f, tuple(map(frozenset, blocks)))
+
 
 class TestTransforms:
     def test_worked_example_intersections(self):
@@ -400,6 +422,11 @@ class TestRestrictExtend:
         u = PrincipalUltrafilter.at("a", {"a", "b"})
         with pytest.raises(DomainError):
             restrict_ultrafilter(u, {"b"})
+
+    def test_restrict_requires_a_subset_of_the_base(self):
+        u = PrincipalUltrafilter.at("a", {"a", "b"})
+        with pytest.raises(DomainError, match="^restriction target must be a subset of the base$"):
+            restrict_ultrafilter(u, {"a", "z"})
 
     def test_extend_then_restrict_is_identity(self):
         u = PrincipalUltrafilter.at("a", {"a", "b"})

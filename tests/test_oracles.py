@@ -48,7 +48,9 @@ meet per point over the set bits of each mask, are found here as before: atoms
 by the signature loop over every point and member, and subbasis closures and
 minimal opens by transposing the relation.  Additive generators and subrings,
 which the library grows with one orbit worklist, are grown here by the two
-worklists it replaced.
+worklists it replaced.  Principal opens, the loci of the intermediate rings and
+the two ultrafilter limits, which the library reads off one table of loci, are
+found here as before, by one scan of the points per element.
 """
 
 import ast
@@ -83,6 +85,7 @@ from ultratop import (
     SpectralReport,
     ZConstructible,
     ZPoint,
+    a_ultra,
     all_ideals,
     family_transforms,
     fip_check,
@@ -94,15 +97,18 @@ from ultratop import (
     is_spectral,
     is_stable,
     limit_set,
+    overring_family,
     prime_ideals,
     patch_topology,
     poset_to_space,
     prime_factors,
+    principal_open_family,
     product,
     spec_space,
     stable_closure,
     subring_closure,
     ultra_topology,
+    ultrafilter_prime,
     z_fip_check,
     zmod,
 )
@@ -110,6 +116,7 @@ from ultratop import core, specz
 from ultratop.core import _join_closure, _json_field, _json_key
 from ultratop.rings import _span, _spectrum
 from conftest import random_family
+from test_acceptance import ring_pool
 from test_cli import call_main
 from test_rings import f2_into_f16, f4_into_f16
 from test_topology import random_poset
@@ -543,6 +550,55 @@ def pairwise_intermediate_rings(emb):
         seeds, lambda a, b: fixpoint_subring_closure(ambient, a | b)
     )
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def scanned_principal_opens(ring):
+    """D_x per element x, one scan of the spectrum per element."""
+    space, spectrum = spec_space(ring), _spectrum(ring)
+    return SetFamily(space.carrier, tuple(
+        (f"D_{ring.elements[x]}", frozenset(label for label, mem in spectrum if x not in mem))
+        for x in range(ring.size)))
+
+
+def scanned_ultrafilter_prime(ring, ultra):
+    """The x whose vanishing locus, one scan of the spectrum, is large on the base."""
+    spectrum = _spectrum(ring)
+    if not ultra.base <= {label for label, _ in spectrum}:
+        raise DomainError("ultrafilter base must consist of spectrum points")
+    return Ideal(ring, frozenset(
+        x for x in range(ring.size)
+        if ultra.contains(frozenset(label for label, mem in spectrum if x in mem) & ultra.base)))
+
+
+def scanned_overring_family(emb):
+    """U_x per target element x, one scan of the intermediate rings per element."""
+    rings = intermediate_rings(emb)
+    labels = [r.label() for r in rings]
+    members = tuple(
+        (
+            f"U_{emb.target.elements[x]}",
+            frozenset(lab for lab, r in zip(labels, rings) if x in r.members),
+        )
+        for x in range(emb.target.size)
+    )
+    return SetFamily(Carrier.of(labels), members)
+
+
+def scanned_a_ultra(emb, ultra):
+    """The x held by ultrafilter-many rings, one scan of the rings per element."""
+    rings = intermediate_rings(emb)
+    by_label = {r.label(): r for r in rings}
+    if not ultra.base <= by_label.keys():
+        raise DomainError("ultrafilter base must consist of intermediate rings")
+    members = frozenset(
+        x
+        for x in range(emb.target.size)
+        if ultra.contains(
+            frozenset(lab for lab, r in by_label.items() if x in r.members)
+            & ultra.base
+        )
+    )
+    return Subring(emb.target, members)
 
 
 RING_LAWS = {
@@ -1401,15 +1457,19 @@ def cube_embedding(rng):
     return RingEmbedding.of(z3, cube, {x: f"(({x},{x}),{x})" for x in "012"})
 
 
-def test_intermediate_rings_match_the_pairwise_joins():
+def small_embeddings():
     r2 = zmod(2)
     square = product(r2, r2)
-    embeddings = [
+    return [
         f2_into_f16(),
         f4_into_f16(),
         RingEmbedding.of(r2, square, {"0": "(0,0)", "1": "(1,1)"}),
         RingEmbedding.of(r2, product(square, r2), {"0": "((0,0),0)", "1": "((1,1),1)"}),
     ]
+
+
+def test_intermediate_rings_match_the_pairwise_joins():
+    embeddings = small_embeddings()
     large = random.Random(2033)
     for emb in embeddings + [cube_embedding(large)] + [
         overring_embedding(m, large) for m in workloads.OVERRING_MODELS if workloads._size(m) == 32
@@ -1422,6 +1482,48 @@ def test_intermediate_rings_match_the_pairwise_joins():
         for _ in range(20):
             seed = rng.sample(range(ambient.size), 2)
             assert subring_closure(ambient, seed) == fixpoint_subring_closure(ambient, seed)
+
+
+def anchored_bases(anchor, points, rng=None):
+    """Every base of the points that holds the anchor, up to 8 points; past
+    that (2^11 and 2^14 bases per anchor here) the least and the full base
+    and 128 drawn by the rng."""
+    others = [p for p in points if p != anchor]
+    if len(others) < 8:
+        return [{anchor, *c} for k in range(len(others) + 1) for c in combinations(others, k)]
+    return [{anchor}, set(points)] + [
+        {anchor, *rng.sample(others, rng.randint(1, len(others)))} for _ in range(128)]
+
+
+def test_principal_opens_and_prime_limits_match_the_element_scans():
+    for ring in ring_pool():
+        family, scanned = principal_open_family(ring), scanned_principal_opens(ring)
+        assert family == scanned and family.masks == scanned.masks, ring.name
+        primes = dict(_spectrum(ring))
+        for anchor in family.carrier.points:
+            for base in anchored_bases(anchor, family.carrier.points):
+                u = PrincipalUltrafilter.at(anchor, base)
+                prime = ultrafilter_prime(ring, u)
+                assert prime == scanned_ultrafilter_prime(ring, u), (ring.name, base)
+                assert prime.members == primes[anchor]
+            u = PrincipalUltrafilter.at(anchor, [anchor, "(stray)"])
+            assert raised(ultrafilter_prime, ring, u) == raised(scanned_ultrafilter_prime, ring, u)
+
+
+def test_overring_loci_and_limits_match_the_element_scans():
+    rng = random.Random(2049)
+    for emb in [*small_embeddings(), cube_embedding(rng),
+                *(overring_embedding(m, rng) for m in workloads.OVERRING_MODELS)]:
+        family, scanned = overring_family(emb), scanned_overring_family(emb)
+        assert family == scanned and family.masks == scanned.masks, emb.target.name
+        for anchor in family.carrier.points:
+            for base in anchored_bases(anchor, family.carrier.points, rng):
+                u = PrincipalUltrafilter.at(anchor, base)
+                ring = a_ultra(emb, u)
+                assert ring == scanned_a_ultra(emb, u), (emb.target.name, base)
+                assert ring.label() == anchor
+            u = PrincipalUltrafilter.at(anchor, [anchor, "(stray)"])
+            assert raised(a_ultra, emb, u) == raised(scanned_a_ultra, emb, u)
 
 
 # characteristics 32, 8, 27 and 9: spans where one coset per generator is not enough

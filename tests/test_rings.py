@@ -112,6 +112,25 @@ class TestFiniteRing:
         with pytest.raises(DomainError):
             FiniteRing(r.elements, r.add, bad_mul, 0, 1)
 
+    @pytest.mark.parametrize(
+        "n, change, message",
+        [
+            (65, {}, "operation tables are capped at 64 elements"),
+            (4, {"elements": ["0", "1", "1", "3"]}, "element labels must be pairwise distinct"),
+            (4, {"zero": 4}, "zero and one must be element indices"),
+            (4, {"one": -1}, "zero and one must be element indices"),
+        ],
+    )
+    def test_document_refusals_are_two(self, n, change, message):
+        # the residue tables, built here since zmod itself stops at 64
+        doc = {"elements": list(map(str, range(n))),
+               "add": [[(i + j) % n for j in range(n)] for i in range(n)],
+               "mul": [[i * j % n for j in range(n)] for i in range(n)], "zero": 0, "one": 1,
+               **change}
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            FiniteRing.from_json(doc)
+        assert call_main(["spec", "-"], doc) == (2, "", f"domain error: {message}\n")
+
     def test_rejects_zero_equal_one(self):
         r = zmod(2)
         with pytest.raises(DomainError):
@@ -407,7 +426,7 @@ class TestUltrafilterPrime:
             assert limit_set(fam, u) == frozenset({label})
 
     def test_rejects_stray_base(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^ultrafilter base must consist of spectrum points$"):
             ultrafilter_prime(
                 zmod(12), PrincipalUltrafilter.at("(5)", ["(5)"])
             )
@@ -581,7 +600,8 @@ class TestOverringSpace:
 
     def test_a_ultra_rejects_stray_base(self):
         emb = f2_into_f16()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="^ultrafilter base must consist of intermediate rings$"):
             a_ultra(emb, PrincipalUltrafilter.at("junk", ["junk"]))
 
 

@@ -221,6 +221,11 @@ class TestDescriptor:
         with pytest.raises(DomainError):
             ZConstructible(closed_pts.primes, closed_pts.cofinite, closed_pts.generic)
 
+    def test_contains_prime_rejects_a_composite(self):
+        for d in (ZSubsetDescriptor.finite([2, 3]), ZSubsetDescriptor.max_points()):
+            with pytest.raises(DomainError, match="^9 is not a prime number$"):
+                d.contains_prime(9)
+
     def test_is_subset_of(self):
         fin = ZSubsetDescriptor.finite([2, 3])
         assert fin.is_subset_of(ZSubsetDescriptor.finite([2, 3, 5]))
