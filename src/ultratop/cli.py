@@ -1,14 +1,13 @@
 """Command line front end: JSON documents in, JSON or DOT out.
 
 Every verb is one row of ``_VERBS``: its handler, its input argument
-(required, optional or none) and whether it may print DOT.  A handler takes
-the parsed arguments and the document, and returns the body of the output: a
-dict, in which a space stands for its closed sets, or DOT text.  ``main``
-alone reads the document, rejects ``--format dot`` on JSON-only verbs, adds
-the ``schema`` and ``verb`` header, renders the text, listing each space's
-closed sets where ``_dumps`` meets it, and writes stdout.  The argument
-parser is built once per process: ``build_parser()`` returns the shared
-parser, which parsing leaves unchanged.
+(required, optional or none), whether it may print DOT, and its options.  A
+handler takes the parsed arguments and the document, and returns the body of
+the output: a dict, in which a space stands for its closed sets, or DOT text.
+``_read_args`` reads argv in one walk, by the options of the verb's row.
+``main`` alone reads the document, rejects ``--format dot`` on JSON-only
+verbs, adds the ``schema`` and ``verb`` header, renders the text, listing each
+space's closed sets where ``_dumps`` meets it, and writes stdout.
 
 Exit codes: 0 on success; 1 on ``InputError``, malformed input (bad flags,
 unreadable files, broken JSON, missing keys, fields of the wrong JSON type,
@@ -21,13 +20,13 @@ output carries the schema tag v1.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable
 
 from .core import (
@@ -48,11 +47,6 @@ from .topology import (
 SCHEMA = "v1"
 
 _Body = dict | str  # a JSON object, or DOT text
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise InputError(message)
 
 
 def _read_doc(path: str) -> dict:
@@ -87,18 +81,18 @@ def _space_body(space: FinSpace) -> dict:
     return {"carrier": list(space.carrier.points), "closed": space}
 
 
-def _cmd_ultra_topology(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_ultra_topology(args: SimpleNamespace, doc: dict) -> _Body:
     return _space_body(ultra_topology(SetFamily.from_json(doc)))
 
 
-def _cmd_closure(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_closure(args: SimpleNamespace, doc: dict) -> _Body:
     family = SetFamily.from_json(_json_key(doc, "family", dict), "family.")
     subset = frozenset(_json_key(doc, "set", list, item=str))
     closure = stable_closure(family, subset)  # stable exactly when it is its own closure
     return {"set": sorted(subset), "closure": sorted(closure), "is_stable": closure == subset}
 
 
-def _cmd_atoms(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_atoms(args: SimpleNamespace, doc: dict) -> _Body:
     family = SetFamily.from_json(doc)
     alg = atoms(family)
     return {
@@ -108,16 +102,16 @@ def _cmd_atoms(args: argparse.Namespace, doc: dict) -> _Body:
     }
 
 
-def _cmd_check_spectral(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_check_spectral(args: SimpleNamespace, doc: dict) -> _Body:
     space = FinSpace.from_json(doc)
     return {"carrier": list(space.carrier.points), "report": is_spectral(space).to_json()}
 
 
-def _cmd_patch(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_patch(args: SimpleNamespace, doc: dict) -> _Body:
     return _space_body(patch_topology(FinSpace.from_json(doc)))
 
 
-def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
+def _cmd_spec(args: SimpleNamespace, doc: dict | None) -> _Body:
     if (args.zmod is None) == (doc is None):
         both = "" if doc is None else ", not both"
         raise InputError(f"spec needs --zmod N or a ring document{both}")
@@ -135,7 +129,7 @@ def _cmd_spec(args: argparse.Namespace, doc: dict | None) -> _Body:
     }
 
 
-def _cmd_overrings(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_overrings(args: SimpleNamespace, doc: dict) -> _Body:
     source = FiniteRing.from_json(_json_key(doc, "source", dict), name="source")
     target = FiniteRing.from_json(_json_key(doc, "target", dict), name="target")
     emb = RingEmbedding(source, target, tuple(_json_key(doc, "map", list, item=int)))
@@ -161,7 +155,7 @@ def _parse_primes(spec: str) -> ZSubsetDescriptor:
     return ZSubsetDescriptor.finite(primes)
 
 
-def _cmd_specz_closure(args: argparse.Namespace, doc: None) -> _Body:
+def _cmd_specz_closure(args: SimpleNamespace, doc: None) -> _Body:
     base = _parse_primes(args.primes)
     if args.generic:
         base = replace(base, generic=True)
@@ -191,7 +185,7 @@ def _constructible_from_entry(entry: dict, path: str) -> ZConstructible:
     return ZConstructible.from_json(entry, path + ".")
 
 
-def _cmd_specz_fip(args: argparse.Namespace, doc: dict) -> _Body:
+def _cmd_specz_fip(args: SimpleNamespace, doc: dict) -> _Body:
     entries = _json_key(doc, "sets", list)
     sets = [_constructible_from_entry(e, f"sets[{i}]") for i, e in enumerate(entries)]
     result = z_fip_check(sets)
@@ -202,43 +196,76 @@ def _cmd_specz_fip(args: argparse.Namespace, doc: dict) -> _Body:
     }
 
 
-# verb -> (handler, input argument: "required", "optional" or None, may print DOT)
-_VERBS: dict[str, tuple[Callable[[argparse.Namespace, dict | None], _Body], str | None, bool]] = {
-    "ultra-topology": (_cmd_ultra_topology, "required", False),
-    "closure": (_cmd_closure, "required", False),
-    "atoms": (_cmd_atoms, "required", False),
-    "check-spectral": (_cmd_check_spectral, "required", False),
-    "patch": (_cmd_patch, "required", False),
-    "spec": (_cmd_spec, "optional", True),
-    "overrings": (_cmd_overrings, "required", True),
-    "specz-closure": (_cmd_specz_closure, None, False),
-    "specz-fip": (_cmd_specz_fip, "required", False),
+# verb -> (handler, input argument: "required", "optional" or None, may print DOT, options),
+# an option -> how its text is read: int (None if not given), str (required) or bool (a flag)
+_VERBS: dict[str, tuple[Callable[..., _Body], str | None, bool, dict[str, type]]] = {
+    "ultra-topology": (_cmd_ultra_topology, "required", False, {}),
+    "closure": (_cmd_closure, "required", False, {}),
+    "atoms": (_cmd_atoms, "required", False, {}),
+    "check-spectral": (_cmd_check_spectral, "required", False, {}),
+    "patch": (_cmd_patch, "required", False, {}),
+    "spec": (_cmd_spec, "optional", True, {"zmod": int}),
+    "overrings": (_cmd_overrings, "required", True, {}),
+    "specz-closure": (_cmd_specz_closure, None, False, {"primes": str, "generic": bool}),
+    "specz-fip": (_cmd_specz_fip, "required", False, {}),
 }
+# the tokens the stdlib parser reads as values: empty, "-", a negative number, a token with a
+# space, and a token with no leading "-"
+_VALUE = re.compile(r"\Z|-\Z|-\d+$|-\d*\.\d+$|.* |[^-]", re.S).match
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ultratop", description=__doc__)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="reserved for randomized commands; accepted for interface stability",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {}
-    for verb, (_, takes, _) in _VERBS.items():
-        p = verbs[verb] = sub.add_parser(verb)
-        if takes:
-            p.add_argument("input", nargs="?" if takes == "optional" else None, default=None,
-                           help="path to a JSON document, or - for stdin")
-        p.add_argument("--format", choices=("json", "dot"), default="json")
-    verbs["spec"].add_argument("--zmod", type=int, default=None, metavar="N")
-    verbs["specz-closure"].add_argument("--primes", required=True,
-                                        help="'all' for every prime, or a comma-separated list")
-    verbs["specz-closure"].add_argument("--generic", action="store_true",
-                                        help="include the generic point in the input subset")
-    return parser
+def _name(tok: str, kinds: dict) -> str | None:
+    """The option that ``-h`` (with anything after it), or ``--`` and a unique prefix of its
+    name before any ``=``, names; None if the token is a value, "" if an unknown option."""
+    head = "--help" if tok[:2] == "-h" else tok.partition("=")[0]
+    names = [k for k in kinds if f"--{k}".startswith(head)] if head[:2] == "--" else []
+    if len(names) > 1:  # ``--`` too
+        raise InputError(f"ambiguous option: {tok} could match --{', --'.join(names)}")
+    return names[0] if names else None if _VALUE(tok) else ""
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """``[--seed N] VERB [INPUT] [OPTIONS]`` as the stdlib parser read it: ``--name value``
+    or ``--name=value`` by any unique prefix, the last one winning; None asks for help.  Unknown
+    options and extra values raise InputError at the end, so that a later ``-h`` gives help."""
+    args, kinds, takes, extra = SimpleNamespace(seed=0), {"help": bool, "seed": int}, None, []
+    for tok in (rest := iter(argv)):
+        name = _name(tok, kinds)
+        if name is None and "verb" not in vars(args):
+            if tok not in _VERBS:
+                raise InputError(f"argument verb: invalid choice: {tok!r} "
+                                 f"(choose from {', '.join(map(repr, _VERBS))})")
+            _, takes, _, options = _VERBS[tok]
+            kinds = {"help": bool, "format": {"json": "json", "dot": "dot"}.__getitem__, **options}
+            vars(args).update({k: False if o is bool else None for k, o in options.items()
+                               if o is not str}, verb=tok, format="json")
+            if takes:
+                args.input = None
+        elif name is None and takes:
+            args.input, takes = tok, None
+        elif not name:
+            extra.append(tok)
+        else:
+            flag, (_, eq, value) = kinds[name] is bool, tok.partition("=")
+            if flag and (eq or tok[:2] == "-h" != tok):
+                raise InputError(f"argument --{name}: ignored explicit argument in {tok!r}")
+            if name == "help":
+                return None
+            if not (flag or eq):
+                value = next(rest, None)
+                if value is None or _name(value, kinds) is not None:
+                    raise InputError(f"argument --{name}: expected one argument")
+            try:
+                setattr(args, name, flag or kinds[name](value))
+            except (ValueError, KeyError):
+                raise InputError(f"argument --{name}: invalid value: {value!r}") from None
+    missing = ["verb"] * ("verb" not in vars(args)) + ["input"] * (takes == "required")
+    missing += [f"--{k}" for k, o in kinds.items() if o is str and k not in vars(args)]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise InputError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _dumps(value, indent: str = "\n") -> str:
@@ -273,10 +300,15 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler, _, dot = _VERBS[args.verb]
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h or --help: the grammar, then each verb's input and options
+            sys.stdout.write("usage: ultratop [--seed N] VERB [INPUT] [OPTIONS]\n" + "".join(
+                f"  {verb}: {takes or 'no'} input, --format json{'|dot' * dot}"
+                + "".join(f", --{k} {o.__name__}" for k, o in opts.items()) + "\n"
+                for verb, (_, takes, dot, opts) in _VERBS.items()))
+            return 0
+        handler, _, dot, _ = _VERBS[args.verb]
         if args.format == "dot" and not dot:
             raise InputError(f"{args.verb} supports only --format json")
         path = getattr(args, "input", None)

@@ -253,10 +253,12 @@ class SetFamily:
 
     @cached_property
     def _point_atoms(self) -> tuple[int, ...]:
-        """Per point, the mask of its atom: the points with its membership
-        signature, the meet of the members and member complements holding it."""
-        full = self.carrier.full_mask
-        return tuple(_meets_at_points(full, [*self.masks, *(full & ~m for m in self.masks)]))
+        """Per point, the mask of its atom: the points with its membership signature, the
+        block holding it once each member has split every block into its inside and outside."""
+        blocks = [full := self.carrier.full_mask]
+        for m in self.masks:
+            blocks = [part for b in blocks for part in (b & m, b & ~m) if part]
+        return tuple(_meets_at_points(full, blocks))
 
     def normalize(self) -> "SetFamily":
         """Deduplicate subsets (first name wins) and sort by member content."""

@@ -43,24 +43,32 @@ walking every label pair, message for message.
 The Boolean closures of a family, which the library names from masks spelled
 once and keeps with those masks, are built here as before: label tuples
 sorted, named by their sorted labels, and read back by ``SetFamily``.
-Atoms, subbasis closures and minimal opens, which the library takes as one
-meet per point over the set bits of each mask, are found here as before: atoms
-by the signature loop over every point and member, and subbasis closures and
-minimal opens by transposing the relation.  Additive generators and subrings,
+Atoms, which the library splits off block by block, one member at a time, are
+found here as before: by the signature loop over every point and member, and by
+the meet per point over the members and their complements.  Subbasis closures and
+minimal opens, which the library takes as one meet per point over the set bits of
+each mask, are found here by transposing the relation.  Additive generators and subrings,
 which the library grows with one orbit worklist, are grown here by the two
 worklists it replaced.  Principal opens, the loci of the intermediate rings and
 the two ultrafilter limits, which the library reads off one table of loci, are
 found here as before, by one scan of the points per element.
+Command lines, which the CLI reads in one walk over the options each verb's row
+lists, are read here by the argparse parser it used before, on 20 000 generated
+argvs.
 """
 
+import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import operator
 import random
 import re
+import sys
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -112,12 +120,12 @@ from ultratop import (
     z_fip_check,
     zmod,
 )
-from ultratop import core, specz
-from ultratop.core import _join_closure, _json_field, _json_key
+from ultratop import cli, core, specz
+from ultratop.core import _join_closure, _json_field, _json_key, _meets_at_points
 from ultratop.rings import _span, _spectrum
 from conftest import random_family
 from test_acceptance import ring_pool
-from test_cli import call_main
+from test_cli import VALID, call_main
 from test_rings import f2_into_f16, f4_into_f16
 from test_topology import random_poset
 from test_workload_outputs import workloads
@@ -273,6 +281,13 @@ def signature_atoms(family):
             keep &= m if (m >> i) & 1 else ~m
         out.append(keep)
     return tuple(out)
+
+
+def meet_atoms(family):
+    """Per point, its atom as the shared meet read it: the meet of the members and member
+    complements holding the point."""
+    full = family.carrier.full_mask
+    return tuple(_meets_at_points(full, [*family.masks, *(full & ~m for m in family.masks)]))
 
 
 def transpose(masks):
@@ -898,7 +913,7 @@ def test_point_atoms_and_minimal_opens_match_the_loops():
         pool = [0, full, *(rng.randrange(full + 1) for _ in range(rng.randint(1, 5)))]
         masks = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
         family = SetFamily.of(carrier, map(carrier.labels_of, masks))
-        assert family._point_atoms == signature_atoms(family)
+        assert family._point_atoms == signature_atoms(family) == meet_atoms(family)
         preorder = FinSpace._of_closures(carrier, random_preorder(rng, n))
         for space in (preorder, from_subbasis(family), ultra_topology(family)):
             assert space._minimal_opens == transpose(space.point_closures)
@@ -2087,3 +2102,184 @@ def test_prime_factors_match_trial_division():
 )
 def test_prime_factors_fixed_cases(n, primes):
     assert prime_factors(n) == primes == trial_division_factors(n)
+
+
+# --------------------------------------------------------------------------
+# argv: the argparse parser the CLI built before it read argv from ``_VERBS``
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise InputError(message)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="ultratop", description=cli.__doc__)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="reserved for randomized commands; accepted for interface stability",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = {}
+    for verb, (_, takes, _, _) in cli._VERBS.items():
+        p = verbs[verb] = sub.add_parser(verb)
+        if takes:
+            p.add_argument("input", nargs="?" if takes == "optional" else None, default=None,
+                           help="path to a JSON document, or - for stdin")
+        p.add_argument("--format", choices=("json", "dot"), default="json")
+    verbs["spec"].add_argument("--zmod", type=int, default=None, metavar="N")
+    verbs["specz-closure"].add_argument("--primes", required=True,
+                                        help="'all' for every prime, or a comma-separated list")
+    verbs["specz-closure"].add_argument("--generic", action="store_true",
+                                        help="include the generic point in the input subset")
+    return parser
+
+
+BIG = "9" * 5000  # past the digits ``int`` converts
+# the texts given to each option: good ones, and faulty ones (empty, not an integer, too long,
+# starting with "-"); None leaves the value out (the option comes last or before another token)
+OPTION_TEXTS = {
+    "seed": (["7", "0", "-3"], ["x", "", BIG, "-h", "--generic", None]),
+    "format": (["json", "dot"], ["xml", "", "-", "-5", None]),
+    "zmod": (["6", "12", "1", "-5"], ["x", "", BIG, "-", None]),
+    "primes": (["2,3", "all", "7", "2,9", "", "-3"], ["x", "-5,7", BIG, "-", "--generic", None]),
+    "generic": ([None], ["x", "", "1"]),
+}
+UNKNOWN = ["--bogus", "--bogus=1", "-x", "---", "--5", "-5,7", "-.5x", "--zmodx", "--seeds=1"]
+HELP = ["-h", "--help", "--he", "--h"]
+
+
+def option_tokens(rng, name, seen):
+    """One use of an option: its full name or a prefix (``--`` and a first letter are unique in
+    every parser), as ``--name value`` or ``--name=value``; a flag alone or with ``=``."""
+    cut = rng.randint(1, len(name) - 1) if rng.random() < 0.5 else len(name)
+    text, value = "--" + name[:cut], rng.choice(OPTION_TEXTS[name][rng.random() < 0.25])
+    spelled = "prefix" if cut < len(name) else "full"
+    if name == "generic" and value is None:
+        seen.update([f"{spelled} flag"])
+        return [text]
+    if value is None:
+        seen.update([f"{spelled} name, value left out"])
+        return [text]
+    seen.update([f"{spelled} name=value" if (eq := rng.random() < 0.4) else f"{spelled} name value"]
+                + ["value starting with -"] * value.startswith("-"))
+    return [f"{text}={value}"] if eq else [text, value]
+
+
+def random_argv(rng, paths, seen):
+    """An argv and its stdin document: a verb, an unknown one or none; ``--seed`` before or after
+    the verb; the verb's options and others; the input as ``-``, a path or none, now and then a
+    second one; unknown options; a repeated option; ``-h`` or ``--help`` anywhere; ``--``."""
+    verb = rng.choice([*cli._VERBS, *cli._VERBS, "frobnicate", None])
+    _, takes, _, options = cli._VERBS.get(verb, (None, "required", False, {}))
+    names = rng.choices(["format", *options, *options], k=rng.choice([0, 0, 1, 1, 2]))
+    names += [rng.choice(["zmod", "primes", "generic", "seed"])] * (rng.random() < 0.15)
+    names += ["primes"] * ("primes" in options and rng.random() < 0.8)
+    items = [option_tokens(rng, name, seen) for name in names]
+    if takes and rng.random() < (0.9 if takes == "required" else 0.4):
+        items.append([rng.choice(["-", paths.get(verb, "missing.json")])])
+    for kind, pool, share in (("second positional", ["-", "x", paths["atoms"]], 0.08),
+                              ("unknown option", UNKNOWN, 0.1)):
+        if rng.random() < share:
+            items.append([rng.choice(pool)])
+            seen.update([kind])
+    if items and rng.random() < 0.2:
+        items.append(rng.choice(items))
+        seen.update(["repeated"])
+    rng.shuffle(items)
+    argv = [verb] * (verb is not None) + [tok for item in items for tok in item]
+    if rng.random() < 0.4:
+        argv = option_tokens(rng, "seed", seen) + argv
+        seen.update(["seed before"])
+    for extra, share in [*((h, 0.03) for h in HELP), ("--", 0.02)]:
+        if rng.random() < share:
+            argv.insert(rng.randint(0, len(argv)), extra)
+            seen.update([extra])
+    seen.update([verb, "seed after"] if "seed" in names else [verb])
+    return argv, (VALID.get(verb) if isinstance(VALID.get(verb), dict) else None)
+
+
+def parsed(read, argv):
+    """("ok", the values), ("help", None) or ("error", None) of one argv."""
+    try:
+        args = read(argv)
+    except InputError:
+        return "error", None
+    except SystemExit as e:
+        assert e.code == 0
+        return "help", None
+    return ("help", None) if args is None else ("ok", vars(args))
+
+
+def test_argv_reader_matches_the_argparse_parser(tmp_path, monkeypatch):
+    """On each argv the reader gives the parser's values, help or fault, and ``main`` the old
+    exit code and stdout.  The exceptions: the help text, and a bare ``--``, after which the
+    parser read the rest as values and the reader exits 1.  A fault is one line on stderr."""
+    paths = {}
+    for verb, doc in VALID.items():
+        if isinstance(doc, dict):
+            paths[verb] = str(tmp_path / f"{verb}.json")
+            (tmp_path / f"{verb}.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rng, seen = random.Random(2028), Counter()
+    corpus = [random_argv(rng, paths, seen) for _ in range(20000)]
+    parser = build_parser()
+    with contextlib.redirect_stdout(io.StringIO()):
+        old = [parsed(parser.parse_args, argv) for argv, _ in corpus]
+    new = [parsed(cli._read_args, argv) for argv, _ in corpus]
+    runs_new = [call_main(argv, doc) for argv, doc in corpus]
+    monkeypatch.setattr(cli, "_read_args", parser.parse_args)
+    runs_old = []
+    for argv, doc in corpus:
+        try:
+            runs_old.append(call_main(argv, doc))
+        except SystemExit:  # argparse printed its help and exited
+            runs_old.append((0, None, ""))
+    for (argv, _), o, n, ro, rn in zip(corpus, old, new, runs_old, runs_new):
+        dash = "--" in argv
+        assert n == o or dash and n == ("error", None), argv
+        assert rn[0] == ro[0] or dash and rn[0] == 1, argv
+        if rn[0] == ro[0]:
+            assert rn[1] == ro[1] or o[0] == "help" and rn[1].startswith("usage: ultratop"), argv
+        if rn[0] == 1:
+            assert rn[1] == "" and rn[2].startswith("error: ") and rn[2].count("\n") == 1, argv
+        elif rn[0] == ro[0]:
+            assert rn[2] == ro[2], argv
+        seen.update([o[0], f"exit {ro[0]}"])
+    # every verb, an unknown one and none, each form and fault, help, and exits 0, 1 and 2
+    assert min(seen.values()) >= 100 and len(seen) == 36, seen
+
+
+ODD_TOKENS = ["", " ", "a b", "=", "٥", "-", "-5", "-5\n", "-\n", "-.5", "-5.", "-5.5", "-٥", "-²",
+              "-x", "-x y", "-=", "-5,7", "--", "--=x", "---", "--5", "--fo x", "--fo=a b",
+              "--he=", "--generic=", "--zmod=-5", "-h=x", "-h="]
+# argvs the reader reads otherwise, on purpose: argparse reports ``--=x`` even after help, as it
+# sorts every token before it acts on any; it reads ``-hh`` as help, and ``-h=h`` up to 3.12;
+# from 3.13 on it reads ``-hx`` and ``-h x`` as help, which 3.10-3.12 and the reader refuse
+BEFORE_3_13 = sys.version_info < (3, 13)
+KNOWN_DIFFERENCES = {
+    ("-h", "--=x"): (("error", None), ("help", None)),
+    ("atoms", "-", "-hh"): (("help", None), ("error", None)),
+    ("-h=h",): (("help" if BEFORE_3_13 else "error", None), ("error", None)),
+    ("atoms", "-", "-hx"): (("error" if BEFORE_3_13 else "help", None), ("error", None)),
+    ("atoms", "-", "-h x"): (("error" if BEFORE_3_13 else "help", None), ("error", None)),
+}
+
+
+def test_odd_tokens_read_as_the_argparse_parser_reads_them():
+    parser = build_parser()
+    for tok in ODD_TOKENS:
+        for argv in (["specz-closure", "--primes", tok], ["spec", "--zmod", tok], ["spec", tok],
+                     ["atoms", "-", tok], [tok, "atoms", "-"], ["--seed", tok, "spec"],
+                     ["spec", "--zmod", "6", tok, "-h"], ["spec", "--format", tok]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                old = parsed(parser.parse_args, argv)
+            new = parsed(cli._read_args, argv)
+            assert new == old or "--" in argv and new == ("error", None), argv
+    for argv, (old, new) in KNOWN_DIFFERENCES.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert (parsed(parser.parse_args, list(argv)), parsed(cli._read_args, list(argv))) == (
+                old, new)

@@ -6,7 +6,10 @@ version, such as ``except*`` or type parameter lists.  It checks syntax only:
 a library call that needs a newer Python (an argument that became optional
 later, a function added later) still passes, so this test does not stand in
 for running the suite on that Python.  So the CLI also runs under that
-Python, when one is installed here, and must print what it prints in process.
+Python, when one is installed here, and must print what it prints in process,
+its help and the ``--name=value`` and prefix forms of its options included.
+
+Importing the CLI loads neither ``argparse`` nor ``gettext``.
 
 Every ``raise`` raises an ``UltratopError``, so that any other exception
 reaching the CLI is a library bug and exits 3.
@@ -80,9 +83,13 @@ def oldest_interpreter() -> str | None:
         (["check-spectral", "-"], {"carrier": ["a", "b", "c"],
                                    "closed": [[], ["a"], ["b"], ["a", "b", "c"]]}),
         (["patch", "-"], {"carrier": NINE, "closed": [NINE[:k] for k in range(10)]}),
+        (["-h"], None),
+        (["overrings", "-", "--format=dot"], VALID["overrings"]),
+        (["spec", "--zm", "6", "--form", "dot"], None),
     ],
     ids=["spec-zmod", "spec-product", "patch", "ultra-topology", "overrings",
-         "check-spectral-not-t0", "check-spectral-no-union", "patch-9-points"],
+         "check-spectral-not-t0", "check-spectral-no-union", "patch-9-points", "help",
+         "format-equals-dot", "prefix-options"],
 )
 def test_cli_prints_the_same_on_the_oldest_python(argv, doc):
     python = oldest_interpreter()
@@ -93,6 +100,15 @@ def test_cli_prints_the_same_on_the_oldest_python(argv, doc):
     run = subprocess.run([python, "-m", "ultratop.cli", *argv], capture_output=True, text=True,
                          input="" if doc is None else json.dumps(doc), env=env, timeout=120)
     assert (run.returncode, run.stdout, run.stderr) == call_main(argv, doc)
+
+
+def test_the_cli_imports_neither_argparse_nor_gettext():
+    """The CLI reads argv itself, so a fresh interpreter importing it loads neither module."""
+    script = "import sys, ultratop.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 # (module, function, exception) raised on purpose outside UltratopError
