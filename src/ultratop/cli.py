@@ -149,9 +149,11 @@ def _parse_primes(spec: str) -> ZSubsetDescriptor:
     if spec == "all":
         return ZSubsetDescriptor.max_points()
     try:
-        primes = [int(tok) for tok in spec.split(",") if tok]
+        primes = [int(tok) for tok in spec.split(",")]
     except ValueError as e:
         raise InputError(f"--primes expects 'all' or comma-separated integers: {e}")
+    if not re.fullmatch("-?[0-9]+(,-?[0-9]+)*", spec):  # int() also reads " 2", "2_0" and "٢"
+        raise InputError(f"--primes expects 'all' or comma-separated integers, not {spec!r}")
     return ZSubsetDescriptor.finite(primes)
 
 

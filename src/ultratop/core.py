@@ -114,28 +114,39 @@ def _spell(runs: Sequence[_T], masks: Sequence[int], empty: _T, high_first=False
     return out
 
 
-# Most sets a join closure may build: n points have up to 2**n closed sets and k
-# disjoint members 2**k - 1 unions, so the sweep stops once it passes this many.
+# Most sets a join closure builds (n points have up to 2**n closed sets, k disjoint members
+# 2**k - 1 unions), and most sets times points a listing builds (``_down_sets``).
 MAX_CLOSED_SETS = 1 << 16
+MAX_LISTED = 1 << 22
 
 
-def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T],
-                  bound: int | None = None) -> set[_T] | None:
-    """Close the generators under an associative, commutative, idempotent op.
-
-    After each distinct generator g the result holds every join of the generators
-    seen so far: the old joins, their joins with g, and g itself.  That is one sweep
-    of O(|result| * |gens|) joins, with no rescans.  Past ``bound`` sets it returns
-    None; with no bound, past ``MAX_CLOSED_SETS`` it raises a DomainError.
-    """
+def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T]) -> set[_T]:
+    """Close the generators under an associative, commutative, idempotent op: after each distinct
+    generator g the result holds every join of those seen so far, as the old joins, their joins
+    with g, and g itself.  That is one sweep of O(|result| * |gens|) joins, with no rescans, and
+    a DomainError past ``MAX_CLOSED_SETS``."""
     out: set[_T] = set()
     for g in set(gens):
         out |= {op(o, g) for o in out}
         out.add(g)
-        if len(out) > (MAX_CLOSED_SETS if bound is None else bound):
+        if len(out) > MAX_CLOSED_SETS:
+            raise DomainError(f"derived families are capped at {MAX_CLOSED_SETS} sets")
+    return out
+
+
+def _down_sets(closures: Iterable[int], bound: int | None = None) -> list[int]:
+    """The down-sets of a preorder given by its point closures, each built once, the empty one
+    first (docs/theory_notes.md §3); closures that are no preorder lose some.  Past ``bound``
+    sets it stops; with none, past min(MAX_CLOSED_SETS, MAX_LISTED // n) on n points it raises."""
+    out, seen, ks = [0], 0, sorted(set(closures), key=int.bit_count)
+    cap = min(MAX_CLOSED_SETS, MAX_LISTED // max(ks).bit_length()) if bound is None else bound
+    for k in ks:  # by size, a linear extension; the sets holding k's points seen before get k
+        rest, seen = k & seen, seen | k
+        out += [o | k for o in out if o & rest == rest]
+        if len(out) > cap:
             if bound is None:
-                raise DomainError(f"listing closed sets is capped at {MAX_CLOSED_SETS} sets")
-            return None
+                raise DomainError(f"listing closed sets is capped at {cap} sets")
+            break
     return out
 
 
@@ -435,10 +446,7 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
         names = map("{%s}".__mod__, map(",".join, tuples))
         return SetFamily._of_masks(carrier, zip(names, map(frozenset, tuples)), masks)
 
-    inter, union = (_join_closure(family.masks, op, MAX_CLOSED_SETS)
-                    for op in (operator.and_, operator.or_))
-    if inter is None or union is None:
-        raise DomainError(f"derived families are capped at {MAX_CLOSED_SETS} sets")
+    inter, union = (_join_closure(family.masks, op) for op in (operator.and_, operator.or_))
     comp = set(family.masks) | {(~m) & full for m in family.masks}
     return FamilyTransforms(build(inter), build(union), build(comp))
 

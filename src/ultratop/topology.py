@@ -7,10 +7,10 @@ closures, and its smallest open around a point is the up-set of that point.
 Up-sets, like the closures of a subbasis, are taken as one meet per point
 (``core._meets_at_points``), so every construction and query costs
 polynomial time in the number of points.  The closed sets are an output
-format, listed only when asked for, only up to ``core.MAX_CLOSED_SETS`` of
-them, as unions of bit-reversed point closures (``core._join_closure``),
-sorted twice in C and spelled in one batch from tables of label runs, at
-most 11 points wide and narrower for fewer sets.
+format, listed only when asked for, only up to min(``core.MAX_CLOSED_SETS``,
+``core.MAX_LISTED`` // points) of them, as the down-sets of bit-reversed point
+closures (``core._down_sets``), sorted twice in C and spelled in one batch from
+tables of label runs, at most 11 points wide and narrower for fewer sets.
 
 A space built with the plain constructor is trusted to satisfy the axioms;
 it takes a smallest closed set around each point, in one pass by size, as
@@ -30,7 +30,7 @@ from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from .core import (
-    MAX_CLOSED_SETS, Carrier, DomainError, SetFamily, UltratopError, _T, _join_closure, _json_field,
+    Carrier, DomainError, SetFamily, UltratopError, _T, _down_sets, _join_closure, _json_field,
     _json_key, _meets_at_points, _spell, _union_at,
 )
 
@@ -97,13 +97,14 @@ class FinSpace:
         iff each k_i holds i and meets that first condition, and nothing is listed.  Only
         if not are the meets of the members around each point taken, and the loops run
         that name the fault: C holds the empty set, the carrier, each meet and its union
-        with each closed set.
+        with each closed set.  Closures that are no preorder have as C all their unions.
         """
         closures, closed = self.point_closures, self.__dict__.get("closed_masks")
         if all(_union_at(closures, k) == k and k >> i & 1 for i, k in enumerate(closures)) and (
-                closed is None or _join_closure({0, *closures}, or_, len(closed)) == closed):
+                closed is None or frozenset(_down_sets(closures, len(closed))) == closed):
             return
-        full, closed = self.carrier.full_mask, self.closed_masks
+        full = self.carrier.full_mask
+        closed = _join_closure({0, *closures}, or_) if closed is None else closed
         closures = _meets_at_points(full, closed)
         if 0 not in closed:
             raise DomainError("the empty set must be closed")
@@ -135,9 +136,9 @@ class FinSpace:
 
     @cached_property
     def closed_masks(self) -> frozenset[int]:
-        """The closed sets, as the unions of point closures (the empty union
-        included); a DomainError once more than ``core.MAX_CLOSED_SETS`` appear."""
-        return frozenset(_join_closure({0, *self.point_closures}, or_))
+        """The closed sets, as the down-sets of the point closures (the empty one included);
+        a DomainError past the bound of ``core._down_sets``."""
+        return frozenset(_down_sets(self.point_closures))
 
     @cached_property
     def open_masks(self) -> frozenset[int]:
@@ -149,8 +150,8 @@ class FinSpace:
         its points' ``run``s in carrier order: sets of one size by descending mask with point i
         as bit n-1-i (docs/theory_notes.md §3), spelled by ``_spell`` in one call."""
         n = len(self.carrier)
-        masks = sorted(_join_closure({0, *(int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
-                                            for cl in self.point_closures)}, or_), reverse=True)
+        masks = sorted(_down_sets([int(bin(cl)[:1:-1], 2) << n - cl.bit_length()
+                                   for cl in set(self.point_closures)]), reverse=True)
         masks.sort(key=int.bit_count)
         return _spell([run(p) for p in reversed(self.carrier.points)], masks, empty, True)
 

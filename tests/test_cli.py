@@ -637,6 +637,27 @@ class TestVerbs:
             "error: --primes expects 'all' or comma-separated integers: "
             "invalid literal for int() with base 10: 'x'\n"))
 
+    @pytest.mark.parametrize("spec, tail", [
+        ("", ": invalid literal for int() with base 10: ''"),
+        (",,,", ": invalid literal for int() with base 10: ''"),
+        ("2,,3", ": invalid literal for int() with base 10: ''"),
+        (" 2", ", not ' 2'"),
+        ("2,3 ", ", not '2,3 '"),
+        ("2_0", ", not '2_0'"),
+        ("+2", ", not '+2'"),
+        ("٢", ", not '٢'"),  # ARABIC-INDIC DIGIT TWO, which int() reads as 2
+    ])
+    def test_primes_are_ascii_digits_only(self, spec, tail):
+        """Each comma-separated item of --primes is an optional minus and ASCII digits; an
+        empty item or a form that int() alone would read is refused, not dropped or coerced."""
+        assert call_main(["specz-closure", "--primes", spec]) == (
+            1, "", f"error: --primes expects 'all' or comma-separated integers{tail}\n")
+
+    @pytest.mark.parametrize("spec", ["-3", "2,-3", "-2"])
+    def test_a_negative_prime_is_a_domain_error(self, spec):
+        code, out, err = call_main(["specz-closure", "--primes", spec])
+        assert (code, out) == (2, "") and err.startswith("domain error: -") and err.count("\n") == 1
+
     def test_specz_fip(self, tmp_path, capsys):
         doc = {"sets": [{"v_of": 6}, {"v_of": 10}, {"v_of": 15}]}
         code, out, _ = run_file(tmp_path, capsys, "specz-fip", doc)

@@ -121,7 +121,7 @@ from ultratop import (
     zmod,
 )
 from ultratop import cli, core, specz
-from ultratop.core import _join_closure, _json_field, _json_key, _meets_at_points
+from ultratop.core import _down_sets, _join_closure, _json_field, _json_key, _meets_at_points
 from ultratop.rings import _span, _spectrum
 from conftest import random_family
 from test_acceptance import ring_pool
@@ -937,8 +937,6 @@ def test_join_closure_matches_the_bounded_unions(monkeypatch):
         for op, gens, expect in ((operator.or_, {0, *masks}, unions),
                                  (operator.and_, {full, *masks}, meets)):
             assert _join_closure(gens, op) == expect
-            assert _join_closure(gens, op, len(expect)) == expect
-            assert _join_closure(gens, op, len(expect) - 1) is None
         assert _join_closure(masks, operator.or_) == unions - {0} | {0} & set(masks)
     assert repeated >= 100, repeated
     monkeypatch.setattr(core, "MAX_CLOSED_SETS", 16)
@@ -946,9 +944,63 @@ def test_join_closure_matches_the_bounded_unions(monkeypatch):
     for _ in range(100):
         masks = [1 << rng.randrange(8) | 1 << rng.randrange(8) for _ in range(rng.randint(0, 7))]
         got = raised(_join_closure, {0, *masks}, operator.or_)
-        assert got == raised(bounded_unions, masks)
+        # the oracle raises with the listing's message, the join closure with its own
+        assert (got is None) == (raised(bounded_unions, masks) is None)
+        assert got in (None, (DomainError, "derived families are capped at 16 sets"))
         capped += got is not None
     assert 20 <= capped <= 80, capped
+
+
+def random_closures(rng, kind, n):
+    """Point closures of a random preorder of one kind on about n points: a chain in random
+    order, an antichain, a poset, a random preorder, or a poset with repeated closures."""
+    if kind == "chain":
+        order = rng.sample(range(n), n)
+        return [sum(1 << p for p in order[:order.index(i) + 1]) for i in range(n)]
+    if kind == "antichain":
+        return [1 << i for i in range(n)]
+    if kind == "poset":
+        return list(random_poset(rng, n).downs)
+    if kind == "preorder":
+        return random_preorder(rng, n)
+    downs = random_poset(rng, n).downs  # of blocks, each block one point or more
+    block = [*range(len(downs)), *(rng.randrange(len(downs)) for _ in range(rng.randint(1, 4)))]
+    held = [sum(1 << i for i, b in enumerate(block) if b == c) for c in range(len(downs))]
+    return [sum(held[c] for c in range(len(downs)) if downs[b] >> c & 1) for b in block]
+
+
+def test_down_sets_match_the_bounded_unions(monkeypatch):
+    """Each down-set of a preorder is built once, and they are the unions of its point
+    closures: on chains, antichains, posets and preorders, and on closures repeated so that
+    the space is not T0.  A bound equal to the count keeps every set; one below it stops
+    once past it.  Unbounded, the cap raises where the oracle does, and a listing's cap is
+    the smaller of MAX_CLOSED_SETS and MAX_LISTED over the points."""
+    rng = random.Random(2047)
+    kinds = ("chain", "antichain", "poset", "preorder", "repeated")
+    seen = Counter()
+    for _ in range(1000):
+        kind = rng.choice(kinds)
+        closures = random_closures(rng, kind, rng.randint(1, 9))
+        expect = bounded_unions(closures)
+        out = _down_sets(closures)
+        assert out[0] == 0 and len(out) == len(set(out)) and set(out) == expect, (kind, closures)
+        assert set(_down_sets(closures, len(expect))) == expect
+        stopped = _down_sets(closures, len(expect) - 1)
+        assert len(expect) - 1 < len(stopped) == len(set(stopped)) and set(stopped) <= expect
+        seen.update((kind, "not_t0") if len(set(closures)) < len(closures) else (kind,))
+    # each "repeated" space is not T0, and some random preorders are not either
+    assert min(seen[k] for k in kinds) >= 150 and seen["not_t0"] > seen["repeated"] + 50, seen
+    monkeypatch.setattr(core, "MAX_CLOSED_SETS", 16)
+    monkeypatch.setattr(core, "MAX_LISTED", 100)
+    capped = Counter()
+    for _ in range(600):
+        closures = random_closures(rng, rng.choice(kinds), rng.randint(1, 9))
+        cap = min(16, 100 // len(closures))
+        count = len(bounded_unions(closures, 1 << 9))
+        expect = (DomainError, f"listing closed sets is capped at {cap} sets") if count > cap else None
+        assert raised(_down_sets, closures) == expect, closures
+        capped[None if expect is None else "by sets" if cap == 16 else "by size"] += 1
+    assert min(capped[k] for k in (None, "by sets", "by size")) >= 40, capped
 
 
 def test_closed_sets_match_the_enumerated_unions():
