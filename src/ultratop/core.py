@@ -115,22 +115,24 @@ def _spell(runs: Sequence[_T], masks: Sequence[int], empty: _T, high_first=False
 
 
 # Most sets a join closure builds (n points have up to 2**n closed sets, k disjoint members
-# 2**k - 1 unions), and most sets times points a listing builds (``_down_sets``).
+# 2**k - 1 unions), and most sets times points a listing or a derived family builds.
 MAX_CLOSED_SETS = 1 << 16
 MAX_LISTED = 1 << 22
 
 
-def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T]) -> set[_T]:
+def _join_closure(gens: Iterable[_T], op: Callable[[_T, _T], _T],
+                  cap: int | None = None) -> set[_T]:
     """Close the generators under an associative, commutative, idempotent op: after each distinct
     generator g the result holds every join of those seen so far, as the old joins, their joins
     with g, and g itself.  That is one sweep of O(|result| * |gens|) joins, with no rescans, and
-    a DomainError past ``MAX_CLOSED_SETS``."""
+    a DomainError past ``cap`` joins, ``MAX_CLOSED_SETS`` by default."""
     out: set[_T] = set()
+    cap = MAX_CLOSED_SETS if cap is None else cap
     for g in set(gens):
         out |= {op(o, g) for o in out}
         out.add(g)
-        if len(out) > MAX_CLOSED_SETS:
-            raise DomainError(f"derived families are capped at {MAX_CLOSED_SETS} sets")
+        if len(out) > cap:
+            raise DomainError(f"derived families are capped at {cap} sets")
     return out
 
 
@@ -433,8 +435,8 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
     The three results are independent closures of the input (the complement
     closure is the family together with all member complements).  Members of
     the returned families are named by their content and normalized.  Each family's
-    masks are spelled in one ``_spell`` call and kept as its members' masks.
-    Past ``MAX_CLOSED_SETS`` meets or unions it raises a DomainError instead.
+    masks are spelled in one ``_spell`` call and kept as its members' masks.  Past
+    min(``MAX_CLOSED_SETS``, ``MAX_LISTED`` // n) sets on n points it raises a DomainError.
     """
     carrier = family.carrier
     full, units = carrier.full_mask, [(p,) for p in carrier.points]
@@ -446,7 +448,8 @@ def family_transforms(family: SetFamily) -> FamilyTransforms:
         names = map("{%s}".__mod__, map(",".join, tuples))
         return SetFamily._of_masks(carrier, zip(names, map(frozenset, tuples)), masks)
 
-    inter, union = (_join_closure(family.masks, op) for op in (operator.and_, operator.or_))
+    cap = min(MAX_CLOSED_SETS, MAX_LISTED // len(carrier.points))
+    inter, union = (_join_closure(family.masks, op, cap) for op in (operator.and_, operator.or_))
     comp = set(family.masks) | {(~m) & full for m in family.masks}
     return FamilyTransforms(build(inter), build(union), build(comp))
 

@@ -3,11 +3,11 @@ the spaces of intermediate rings attached to ring embeddings.
 
 Rings are deliberately small: operation tables are capped at 64 elements,
 every ring law is checked on load, and subring enumeration is capped at a
-32-element ambient ring.  Each check is one loop over table rows, or over
-members, kept as bytes so that a row is tested in one C call
-(``bytes.translate``); the step whose row fails names the first offender in
-it.  Ideals and subrings name their least member out of range first, and
-element indices given directly pass one range check.
+32-element ambient ring.  Tables are kept as bytes: shape, range, commutativity
+and identities are compared as whole tables, and laws, ideals and subrings a
+row per C call (``bytes.translate``); only a check that fails runs the loop
+naming its first offender, an ideal's or subring's least member out of range
+first.  Element indices given directly pass one range check.
 Primes and ideals are read off the primitive idempotents under a checked
 certificate, and cached on each ring; subrings are spanned from generators
 (docs/theory_notes.md, sections 4 and 5).
@@ -65,11 +65,11 @@ class FiniteRing:
         return tuple(row.index(self.zero) for row in self.add)
 
     @cached_property
-    def _byte_rows(self) -> tuple[list[bytes], ...]:
+    def _byte_rows(self) -> tuple[tuple[bytes, ...], ...]:
         """The rows of + and * as bytes, then padded to 256 bytes as ``bytes.translate`` tables."""
-        A, M = list(map(bytes, self.add)), list(map(bytes, self.mul))
+        A, M = tuple(map(bytes, self.add)), tuple(map(bytes, self.mul))
         pad = repeat(bytes(256 - self.size))
-        return A, M, list(map(bytes.__add__, A, pad)), list(map(bytes.__add__, M, pad))
+        return A, M, tuple(map(bytes.__add__, A, pad)), tuple(map(bytes.__add__, M, pad))
 
     @cached_property
     def _additive_generators(self) -> tuple[int, ...]:
@@ -149,37 +149,48 @@ def _check_ring(r: FiniteRing) -> None:
         raise DomainError(f"operation tables are capped at {MAX_RING} elements")
     if len(set(r.elements)) != n:
         raise DomainError("element labels must be pairwise distinct")
-    indices = set(range(n))
-    for table, word in ((r.add, "addition"), (r.mul, "multiplication")):
-        if len(table) != n or any(len(row) != n for row in table):
-            raise DomainError(f"{word} table must be {n}x{n}")
-        for row in table:
-            if not indices.issuperset(row):
-                v = next(v for v in row if v not in indices)
-                raise DomainError(f"{word} table entry {v} is out of range")
+    ids = bytes(range(n))  # the entries in range, and the row of an identity
+    try:  # each structural check on whole byte tables, in C calls
+        A, M, *_ = r._byte_rows
+        fine = A[r.zero] == M[r.one] == ids and all(r.zero in a for a in A) and all(
+            len(t) == n and {*map(len, t)} == {n} and not f.translate(None, ids)
+            and f == b"".join(f[j::n] for j in range(n))  # its transpose
+            for t, f in ((r.add, b"".join(A)), (r.mul, b"".join(M))))
+    except (TypeError, ValueError, IndexError):  # an entry bytes() refuses, zero or one past n
+        fine = False
+    add, mul = r.add, r.mul
+    if not fine:  # the loops naming the fault, in the order of the checks
+        indices = set(range(n))
+        for table, word in ((add, "addition"), (mul, "multiplication")):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise DomainError(f"{word} table must be {n}x{n}")
+            for row in table:
+                if not indices.issuperset(row):
+                    v = next(v for v in row if v not in indices)
+                    raise DomainError(f"{word} table entry {v} is out of range")
     if not 0 <= r.zero < n or not 0 <= r.one < n:
         raise DomainError("zero and one must be element indices")
     if r.zero == r.one and n > 1:
         raise DomainError("one must differ from zero in a nontrivial ring")
-    add, mul = r.add, r.mul
-    # each row against its column: the first row to differ differs from it at j >= i only
-    rows = zip(map(tuple, add), zip(*add), map(tuple, mul), zip(*mul))
-    for i, (ra, ca, rm, cm) in enumerate(rows):
-        if ra != ca or rm != cm:
-            word, j = next((word, j) for j in range(i, n) for word, t in
-                           (("addition", add), ("multiplication", mul)) if t[i][j] != t[j][i])
-            raise DomainError(f"{word} is not commutative at ({i}, {j})")
-    for i in range(n):
-        if add[r.zero][i] != i:
-            raise DomainError(f"zero is not an additive identity at {i}")
-        if mul[r.one][i] != i:
-            raise DomainError(f"one is not a multiplicative identity at {i}")
-        if r.zero not in add[i]:
-            raise DomainError(f"element {i} has no additive inverse")
+    if not fine:
+        # each row against its column: the first row to differ differs from it at j >= i only
+        rows = zip(map(tuple, add), zip(*add), map(tuple, mul), zip(*mul))
+        for i, (ra, ca, rm, cm) in enumerate(rows):
+            if ra != ca or rm != cm:
+                word, j = next((word, j) for j in range(i, n) for word, t in
+                               (("addition", add), ("multiplication", mul)) if t[i][j] != t[j][i])
+                raise DomainError(f"{word} is not commutative at ({i}, {j})")
+        for i in range(n):
+            if add[r.zero][i] != i:
+                raise DomainError(f"zero is not an additive identity at {i}")
+            if mul[r.one][i] != i:
+                raise DomainError(f"one is not a multiplicative identity at {i}")
+            if r.zero not in add[i]:
+                raise DomainError(f"element {i} has no additive inverse")
+    A, M, At, Mt = r._byte_rows  # an integral float passes every loop above; bytes() refuses it
     # Light's test gives associativity of + at the generators alone, the other laws are
     # then additive in the middle slot, and each law at (g, x) compares two byte rows
     # (docs/theory_notes.md, section 4); the loop naming the law runs once a pair fails
-    A, M, At, Mt = r._byte_rows
     for g in r._additive_generators:
         Ag, Mg = A[g], M[g]
         for x in range(n):
@@ -200,8 +211,9 @@ def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n, with decimal labels."""
     if not 2 <= n <= MAX_RING:
         raise DomainError(f"zmod size must be between 2 and {MAX_RING}")
-    add = tuple(tuple(range(i, n)) + tuple(range(i)) for i in range(n))
-    mul = ((0,) * n, *(tuple(map(n.__rmod__, range(0, i * n, i))) for i in range(1, n)))
+    cycle = tuple(range(n)) * n  # cycle[k] == k % n for k < n * n
+    add = tuple(cycle[i:i + n] for i in range(n))
+    mul = ((0,) * n, *(cycle[0:i * n:i] for i in range(1, n)))
     return FiniteRing(tuple(map(str, range(n))), add, mul, 0, 1, name=f"Z/{n}")
 
 

@@ -2,7 +2,7 @@
 
 A listing of closed sets on n points stops past min(2**16, 2**22 // n) sets, so
 it never holds more than 2**22 set-point pairs, and a derived family of
-``family_transforms`` stops past 2**16 sets.  Each case pins the exit code, an
+``family_transforms`` stops at the same bound.  Each case pins the exit code, an
 empty stdout and the one stderr line, or the message of the DomainError; none
 of them reads a clock.
 """
@@ -66,3 +66,11 @@ def test_derived_families_of_disjoint_members_are_refused():
         family_transforms(SetFamily.from_json(doc))
     assert str(caught.value) == "derived families are capped at 65536 sets"
     assert len(family_transforms(SetFamily.from_json(singletons(16, 16))).unions.members) == 2**16 - 1
+
+
+def test_a_derived_family_over_many_labels_is_refused():
+    """15 singletons over 50 000 labels have 2**15 - 1 unions, each a mask of 50 000 bits:
+    the sweep stops past 2**22 // 50 000 = 83 of them."""
+    with pytest.raises(DomainError) as caught:
+        family_transforms(SetFamily.from_json(singletons(15, 50_000)))
+    assert str(caught.value) == "derived families are capped at 83 sets"

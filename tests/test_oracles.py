@@ -676,11 +676,13 @@ def pair_scan_hom_failure(src, tgt, f):
     return None
 
 
-def elementwise_table_check(add, mul):
-    """The range and commutativity checks of a ring's tables, entry by entry: the
-    naming loops the library ran once a check of the whole table had failed."""
-    n = len(add)
+def elementwise_table_check(n, add, mul, zero, one):
+    """The structural checks of a ring's tables, row by row and entry by entry: the
+    naming loops the library runs once a check of the whole table has failed.  Zero
+    and one are taken to be element indices that differ."""
     for table, word in ((add, "addition"), (mul, "multiplication")):
+        if len(table) != n or any(len(row) != n for row in table):
+            raise DomainError(f"{word} table must be {n}x{n}")
         for row in table:
             for v in row:
                 if not 0 <= v < n:
@@ -691,6 +693,13 @@ def elementwise_table_check(add, mul):
                 raise DomainError(f"addition is not commutative at ({i}, {j})")
             if mul[i][j] != mul[j][i]:
                 raise DomainError(f"multiplication is not commutative at ({i}, {j})")
+    for i in range(n):
+        if add[zero][i] != i:
+            raise DomainError(f"zero is not an additive identity at {i}")
+        if mul[one][i] != i:
+            raise DomainError(f"one is not a multiplicative identity at {i}")
+        if all(add[i][j] != zero for j in range(n)):
+            raise DomainError(f"element {i} has no additive inverse")
 
 
 def elementwise_subring_check(r, members):
@@ -1623,32 +1632,56 @@ def test_subring_closure_matches_the_fixpoint_outside_characteristic_2(ring):
         assert subring_closure(ring, seed) == fixpoint_subring_closure(ring, seed)
 
 
+TABLE_FAULTS = ("table must be", "is out of range", "is not commutative",
+                "zero is not an additive identity", "one is not a multiplicative identity",
+                "has no additive inverse")
+
+
 def test_table_checks_name_what_the_entrywise_loops_name():
+    """Each fault of shape, range, commutativity, identities and inverses that the whole-table
+    comparisons see is named as the row-by-row loops name it; what they pass, the loops pass,
+    and only a ring law can fail after them."""
     rng = random.Random(2034)
     rings = SMALL_RINGS + [zmod(33), *LARGE_RINGS, *ODD_CHARACTERISTIC]
     named = Counter()
-    for _ in range(800):
+    for _ in range(1500):
         ring = permuted(rng.choice(rings), rng)
-        n = ring.size
+        n, zero, one = ring.size, ring.zero, ring.one
         add, mul = [list(row) for row in ring.add], [list(row) for row in ring.mul]
-        for _ in range(rng.choice((1, 1, 2, 3))):
+        for _ in range(rng.choice((1, 1, 2))):
             table, i, j = rng.choice((add, mul)), rng.randrange(n), rng.randrange(n)
-            if rng.random() < 0.4:
+            fault, symmetric = rng.randrange(4), rng.random()
+            if fault == 0:
                 table[i][j] = rng.choice((-2, -1, n, n + 1, 2 * n))
-            else:  # changed within range: not commutative unless i == j
+            elif fault == 1:  # changed within range: not commutative unless i == j
                 table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
-            if rng.random() < 0.3:  # symmetric: commutativity holds at (i, j)
+            elif fault == 2:  # an entry of the row of zero in + or of one in *
+                i = zero if table is add else one
+                table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+                symmetric *= 0.3
+            else:  # the zero of row i in +
+                table, j = add, add[i].index(zero) if zero in add[i] else j
+                add[i][j] = (add[i][j] + rng.randrange(1, n)) % n
+                symmetric *= 0.3
+            if symmetric < 0.3:  # commutativity holds at (i, j)
                 table[j][i] = table[i][j]
+        if rng.random() < 0.15:  # a row one short or one long, or one row too few or too many
+            table, i = rng.choice((add, mul)), rng.randrange(n)
+            if rng.random() < 0.7:
+                table[i] = table[i][:-1] if rng.random() < 0.5 else [*table[i], table[i][0]]
+            else:
+                table.pop(i) if rng.random() < 0.5 else table.insert(i, table[i])
         add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
-        got = raised(FiniteRing, ring.elements, add, mul, ring.zero, ring.one)
-        want = raised(elementwise_table_check, add, mul)
+        got = raised(FiniteRing, ring.elements, add, mul, zero, one)
+        want = raised(elementwise_table_check, n, add, mul, zero, one)
         if want is None:
-            assert got is None or not re.search("out of range|not commutative", got[1])
+            assert got is None or got[1].startswith(("addition is not associative",
+                                                     "multiplication is not associative",
+                                                     "distributivity fails"))
         else:
             assert got == want
-            named[re.sub(r"^\w+ | -?\d+(?= is)| at .*", "", want[1])] += 1
-    assert sum(named.values()) > 600
-    assert named["table entry is out of range"] > 150 and named["is not commutative"] > 150
+            named[next(fault for fault in TABLE_FAULTS if fault in want[1])] += 1
+    assert min(named[fault] for fault in TABLE_FAULTS) >= 50, named
 
 
 def additive_span(ring, elements):

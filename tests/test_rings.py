@@ -99,6 +99,8 @@ class TestFiniteRing:
                 tuple(map(str, range(n))), 0, 1, f"Z/{n}")
             assert r.add == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
             assert r.mul == tuple(tuple(i * j % n for j in range(n)) for i in range(n))
+            assert {*map(type, itertools.chain(r.add, r.mul))} == {tuple}
+            assert {*map(type, itertools.chain(*r.add, *r.mul))} == {int}
 
     def test_zmod_bounds(self):
         with pytest.raises(DomainError):
@@ -756,6 +758,32 @@ class TestLibraryBoundary:
         assert principal_ideal(r, True) == principal_ideal(r, 1)
         assert subring_closure(r, [False]) == subring_closure(r, [0])
         assert r.label(True) == "1"
+
+    def test_table_entries_that_are_bools_pass_and_floats_raise_a_type_error(self):
+        """The constructor takes a bool entry as the int it is.  An integral float passes
+        every loop that names a table fault, and bytes() refuses it after them, with Python's
+        TypeError; a fault those loops name comes first.  The JSON reader refuses both."""
+        for r in (zmod(2), zmod(12), product(gf(4), zmod(4))):
+            as_bools = tuple(tuple(bool(v) if v < 2 else v for v in row) for row in r.add)
+            assert FiniteRing(r.elements, as_bools, r.mul, r.zero, r.one) == r
+            for entry, raises in (
+                (r.add[0][1], (TypeError, "'float' object cannot be interpreted as an integer")),
+                ((r.add[0][1] + 1) % r.size,
+                 (DomainError, "addition is not commutative at (0, 1)")),
+                (1.5, (DomainError, "addition table entry 1.5 is out of range")),
+            ):
+                add, mul = [list(row) for row in r.add], [list(row) for row in r.mul]
+                add[0][1], mul[1][1] = entry, float(mul[1][1])
+                with pytest.raises(raises[0]) as caught:
+                    FiniteRing(r.elements, tuple(map(tuple, add)), tuple(map(tuple, mul)),
+                               r.zero, r.one)
+                assert str(caught.value) == raises[1]
+        doc = zmod(2).to_json()
+        for entry, kind in ((True, "bool"), (1.0, "float")):
+            doc["add"][0][1] = entry
+            with pytest.raises(UltratopError) as caught:
+                FiniteRing.from_json(doc)
+            assert str(caught.value) == f"malformed input: add[0][1] must be an integer, not {kind}"
 
     @pytest.mark.parametrize("call", [
         lambda: principal_ideal(zmod(4), None),
